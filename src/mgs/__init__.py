@@ -11,7 +11,6 @@ from .abelian import (
     AbelianElement,
     AbelianGroup,
     CyclicQuotientMap,
-    abelian_product,
     canonical_invariant_factors,
     cyclic_residual_quotient,
     determinant,
@@ -34,9 +33,6 @@ from .classify import (
 from .dihedral import (
     GenDihedralElement,
     GenDihedralGroup,
-    dih_inverse,
-    dih_multiply,
-    dih_order,
     evaluate_word,
     is_generating_dih,
     materialize_table,

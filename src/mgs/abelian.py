@@ -187,7 +187,8 @@ def smith_normal_form(
                 break
             row_addmul(t, bad, 1)
             piv = (t, t)
-    assert _snf_valid(mat, u, a, v), "internal error: invalid decomposition"
+    if not _snf_valid(mat, u, a, v):
+        raise AssertionError("internal error: invalid decomposition")
     return u, a, v
 
 
@@ -264,9 +265,6 @@ class AbelianGroup:
 
     def is_finite(self) -> bool:
         return self.free_rank == 0
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
 
     def exponent(self):
         if self.free_rank:
@@ -416,13 +414,6 @@ def canonical_invariant_factors(orders: Iterable) -> AbelianGroup:
         factors.append(d)
     factors = [d for d in factors if d > 1]
     return AbelianGroup(free, tuple(sorted(factors)))
-
-
-def abelian_product(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
-    orders: list = [INFINITE] * (a.free_rank + b.free_rank)
-    orders.extend(a.invariant_factors)
-    orders.extend(b.invariant_factors)
-    return canonical_invariant_factors(orders)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .abelian import AbelianGroup, determinant
+from .abelian import AbelianGroup, _identity_matrix, determinant, matmul, matvec
 from .dihedral import GenDihedralElement, GenDihedralGroup, is_generating_dih
 from .tables import FiniteGroupTable, automorphism_group
 
@@ -36,22 +36,6 @@ def reflection_index_set(gens: Sequence[GenDihedralElement]) -> frozenset[int]:
 
 # ---------------------------------------------------------------------------
 # Automorphisms of Z^(m-1) x| Z/2
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_vec(a, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def _mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _mat_inverse_unimodular(a):
@@ -89,6 +73,8 @@ class DihAutomorphism:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "translation", tuple(self.translation))
+        object.__setattr__(self, "matrix", tuple(map(tuple, self.matrix)))
         n = len(self.translation)
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise ValueError("translation and matrix dimensions disagree")
@@ -101,13 +87,13 @@ class DihAutomorphism:
 
     @classmethod
     def identity(cls, arity: int) -> "DihAutomorphism":
-        return cls((0,) * (arity - 1), _mat_identity(arity - 1))
+        return cls((0,) * (arity - 1), _identity_matrix(arity - 1))
 
     def apply(self, x: GenDihedralElement) -> GenDihedralElement:
         base = x.group.base
         if base.free_rank != len(self.translation) or base.invariant_factors:
             raise ValueError("element is not in the matching free-by-flip group")
-        w = _mat_vec(self.matrix, x.v.free)
+        w = matvec(self.matrix, x.v.free)
         if x.eps:
             w = tuple(a + b for a, b in zip(w, self.translation))
         return x.group.element(base.element(w, ()), x.eps)
@@ -120,15 +106,15 @@ class DihAutomorphism:
         return DihAutomorphism(
             tuple(
                 a + b
-                for a, b in zip(_mat_vec(self.matrix, other.translation), self.translation)
+                for a, b in zip(matvec(self.matrix, other.translation), self.translation)
             ),
-            _mat_mul(self.matrix, other.matrix),
+            matmul(self.matrix, other.matrix),
         )
 
     def inverse(self) -> "DihAutomorphism":
         inv = _mat_inverse_unimodular(self.matrix)
         return DihAutomorphism(
-            tuple(-a for a in _mat_vec(inv, self.translation)), inv
+            tuple(-a for a in matvec(inv, self.translation)), inv
         )
 
 

@@ -17,25 +17,17 @@ from . import dsl, logic, tables, topology
 from .abelian import AbelianGroup, cyclic_residual_quotient
 from .closure_map import emit_closure_map
 from .dihedral import GenDihedralGroup, materialize_table
-from .words import BallCapExceeded, active_ball_cap
+from .words import DEFAULT_BALL_CAP, active_ball_cap
 
 
 def _print(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _load_group_or_table(arg: str, cap: int = 512):
+def _as_table(arg: str) -> tables.FiniteGroupTable:
     if os.path.exists(arg):
         return tables.load_table(arg)
-    group = dsl.parse_group(arg)
-    return group
-
-
-def _as_table(arg: str, cap: int = 512) -> tables.FiniteGroupTable:
-    thing = _load_group_or_table(arg)
-    if isinstance(thing, tables.FiniteGroupTable):
-        return thing
-    return materialize_table(thing, cap)
+    return materialize_table(dsl.parse_group(arg))
 
 
 def _range(text: str) -> range:
@@ -239,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mgs",
         description="exact computation with marked groups "
-        f"(word-ball cap: {active_ball_cap()}, override with MGS_BALL_CAP)",
+        f"(default word-ball cap: {DEFAULT_BALL_CAP}, override with MGS_BALL_CAP)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -288,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cb_rank)
 
     p = sub.add_parser("closure-map", help="the two-generator dihedral closure map")
-    p.add_argument("--arity", type=int, default=2)
     p.add_argument("--range", default="3..8")
     p.add_argument("--rmax", type=int, default=8)
     p.add_argument("--dot", action="store_true")
@@ -305,12 +296,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        active_ball_cap()  # a malformed MGS_BALL_CAP fails every command alike
         return args.func(args)
     except dsl.ParseError as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except (ValueError, TypeError, OSError, BallCapExceeded) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

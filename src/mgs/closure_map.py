@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .abelian import AbelianGroup
+from .classify import reflection_index_set
 from .dihedral import GenDihedralGroup
 from .topology import MarkedGroup, _compare
 
@@ -82,17 +83,13 @@ def _build_nodes(n_range) -> list[_Node]:
     return nodes
 
 
-def emit_closure_map(
-    n_range=range(3, 9), r_max: int = 8, arity: int = 2
-) -> tuple[str, str]:
+def emit_closure_map(n_range=range(3, 9), r_max: int = 8) -> tuple[str, str]:
     """Emit the map as (JSON text, DOT text); byte-stable for a fixed range.
 
     Edge radii are fresh ball comparisons capped at r_max; distinctness
     certificates are recomputed separating words (or distinct involution
     patterns) for every node pair.
     """
-    if arity != 2:
-        raise ValueError("the closure map is drawn for two generators")
     n_range = list(n_range)
     if not n_range or min(n_range) < 3:
         raise ValueError("the range must contain integers >= 3")
@@ -119,8 +116,8 @@ def emit_closure_map(
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             a, b = nodes[i], nodes[j]
-            ia = sorted(_involutions(a.marked))
-            ib = sorted(_involutions(b.marked))
+            ia = sorted(reflection_index_set(a.marked.generators))
+            ib = sorted(reflection_index_set(b.marked.generators))
             entry = {"pair": [a.node_id, b.node_id]}
             if ia != ib:
                 entry["certificate"] = "involution-pattern"
@@ -155,7 +152,7 @@ def emit_closure_map(
                 "order": None
                 if node.kind == "limit"
                 else int(node.marked.group.order()),
-                "involutions": sorted(_involutions(node.marked)),
+                "involutions": sorted(reflection_index_set(node.marked.generators)),
             }
             for node in nodes
         ],
@@ -177,7 +174,3 @@ def emit_closure_map(
     lines.append("}")
     dot_text = "\n".join(lines) + "\n"
     return json_text, dot_text
-
-
-def _involutions(marked: MarkedGroup) -> list[int]:
-    return [i + 1 for i, g in enumerate(marked.generators) if (g * g).is_identity()]

@@ -103,26 +103,6 @@ class GenDihedralElement:
         return f"{tag}({self.v.coords_str()})"
 
 
-def dih_multiply(
-    group: GenDihedralGroup, x: GenDihedralElement, y: GenDihedralElement
-) -> GenDihedralElement:
-    if x.group != group or y.group != group:
-        raise ValueError("elements do not belong to the given group")
-    return x * y
-
-
-def dih_inverse(group: GenDihedralGroup, x: GenDihedralElement) -> GenDihedralElement:
-    if x.group != group:
-        raise ValueError("element does not belong to the given group")
-    return x.inverse()
-
-
-def dih_order(group: GenDihedralGroup, x: GenDihedralElement):
-    if x.group != group:
-        raise ValueError("element does not belong to the given group")
-    return x.order()
-
-
 def evaluate_word(
     group: GenDihedralGroup, gens: Sequence[GenDihedralElement], word: Word
 ) -> GenDihedralElement:

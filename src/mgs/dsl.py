@@ -550,22 +550,6 @@ def parse_spec(text: str):
 # Canonical printers
 
 
-def print_group(group) -> str:
-    return str(group)
-
-
-def print_element(element) -> str:
-    return str(element)
-
-
-def print_marked(marked: MarkedGroup) -> str:
-    return str(marked)
-
-
-def print_word(word: Word) -> str:
-    return str(word)
-
-
 _VARIABLE_NAMES = ("x", "y", "z", "t", "u")
 
 
@@ -575,22 +559,6 @@ def _variable_names(k: int) -> list[str]:
     return [f"x{i}" for i in range(1, k + 1)]
 
 
-def _print_term(word: Word, names: Sequence[str]) -> str:
-    if not word.letters:
-        return "1"
-    parts = []
-    i = 0
-    while i < len(word.letters):
-        j = i
-        while j < len(word.letters) and word.letters[j] == word.letters[i]:
-            j += 1
-        exp = (j - i) if word.letters[i] > 0 else -(j - i)
-        name = names[abs(word.letters[i]) - 1]
-        parts.append(name if exp == 1 else f"{name}^{exp}")
-        i = j
-    return "*".join(parts)
-
-
 _PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5}
 
 
@@ -598,7 +566,7 @@ def _print_formula(formula: Formula, names: Sequence[str], parent_prec: int = 0)
     prec = _PRECEDENCE[type(formula)]
     if isinstance(formula, Atom):
         op = "=" if formula.positive else "!="
-        out = f"{_print_term(formula.left, names)} {op} {_print_term(formula.right, names)}"
+        out = f"{formula.left.render(names)} {op} {formula.right.render(names)}"
     elif isinstance(formula, Not):
         out = "!" + _print_formula(formula.child, names, prec)
     elif isinstance(formula, And):

@@ -17,7 +17,7 @@ from importlib import resources
 from itertools import product
 from typing import Iterable, Sequence
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, _factorize
 
 ASSOCIATIVITY_BOUND = 256
 AUTOMORPHISM_BOUND = 100
@@ -230,11 +230,6 @@ def load_table(path, **kwargs) -> FiniteGroupTable:
     return loads_text(text, **kwargs)
 
 
-def fixture_names() -> list[str]:
-    root = resources.files("mgs") / "fixtures"
-    return sorted(entry.name for entry in root.iterdir())
-
-
 def load_fixture(name: str) -> FiniteGroupTable:
     root = resources.files("mgs") / "fixtures"
     for suffix in ("", ".json", ".txt"):
@@ -347,7 +342,7 @@ def abelian_invariant_factors_of(
     if exponent == 1:
         return ()
     partitions: dict[int, list[int]] = {}
-    for p in _prime_factors(exponent):
+    for p in _factorize(exponent):
         logs = [0]
         j = 1
         while True:
@@ -384,20 +379,6 @@ def abelian_invariant_factors_of(
     return tuple(sorted(d for d in factors if d > 1))
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Generalized dihedral recognition
 
@@ -417,9 +398,6 @@ class DihedralRecognition:
     rotation_part: tuple[int, ...] | None = None
     flip_coset: tuple[int, ...] | None = None
     reason: str = ""
-
-    def is_generalized_dihedral(self) -> bool:
-        return self.kind == "generalized-dihedral"
 
 
 def recognize_generalized_dihedral(table: FiniteGroupTable) -> DihedralRecognition:

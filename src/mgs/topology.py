@@ -39,14 +39,7 @@ from .dihedral import (
     is_generating_dih,
 )
 from .tables import FiniteGroupTable
-from .words import (
-    BallCapExceeded,
-    Word,
-    active_ball_cap,
-    free_reduce,
-    letter_order,
-    stratum_size,
-)
+from .words import Word, check_cap, free_reduce, trivial_ops, walk_ball
 
 GroupLike = Union[AbelianGroup, GenDihedralGroup, FiniteGroupTable]
 
@@ -96,14 +89,6 @@ class MarkedGroup:
     @property
     def arity(self) -> int:
         return len(self.generators)
-
-    @property
-    def kind(self) -> str:
-        if isinstance(self.group, AbelianGroup):
-            return "abelian"
-        if isinstance(self.group, GenDihedralGroup):
-            return "dihedral"
-        return "table"
 
     def evaluate(self, word: Word):
         if word.arity != self.arity:
@@ -160,9 +145,6 @@ class RelationBall:
     def __contains__(self, word: Word) -> bool:
         return word in self.as_set
 
-    def stratum(self, length: int) -> tuple[Word, ...]:
-        return tuple(w for w in self.relations if len(w) == length)
-
     def restrict(self, radius: int) -> "RelationBall":
         if radius > self.radius:
             raise ValueError("cannot grow a ball by restriction")
@@ -180,7 +162,7 @@ class RelationBall:
 
 
 def _raw_ops(marked: MarkedGroup):
-    """(identity, mul, letter -> value) in a flat representation."""
+    """(identity, mul, letter -> value) in a flat representation, as walk_ball takes it."""
     g, S = marked.group, marked.generators
     if isinstance(g, FiniteGroupTable):
         rows = g.rows
@@ -233,29 +215,13 @@ def relation_ball(marked: MarkedGroup, radius: int, cap: int | None = None) -> R
     """All relations of length <= radius, by breadth-first evaluation."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    cap = active_ball_cap() if cap is None else cap
     m = marked.arity
-    if stratum_size(m, radius) > cap:
-        raise BallCapExceeded(
-            f"radius-{radius} stratum over {m} generators exceeds the cap of {cap}"
-        )
-    identity, mul, values = _raw_ops(marked)
-    letters = letter_order(m)
+    check_cap(m, radius, cap)
+    ops = _raw_ops(marked)
+    identity = ops[0]
     relations = [Word((), m)]
-    frontier = [((), identity)]
-    for _ in range(radius):
-        nxt = []
-        for w, val in frontier:
-            last = w[-1] if w else 0
-            for ell in letters:
-                if ell == -last:
-                    continue
-                w2 = w + (ell,)
-                v2 = mul(val, values[ell])
-                nxt.append((w2, v2))
-                if v2 == identity:
-                    relations.append(Word(w2, m))
-        frontier = nxt
+    for layer in walk_ball(m, radius, ops, trivial_ops(m), cap):
+        relations.extend(Word(w, m) for w, v, _ in layer if v == identity)
     return RelationBall(m, radius, tuple(relations))
 
 
@@ -263,39 +229,14 @@ def relation_ball(marked: MarkedGroup, radius: int, cap: int | None = None) -> R
 # Ball comparison: enumeration route
 
 
-def _word_key(letters: tuple[int, ...]) -> tuple:
-    return tuple((abs(l), 0 if l > 0 else 1) for l in letters)
-
-
 def _compare_enumerate(a: MarkedGroup, b: MarkedGroup, r_max: int, cap: int | None):
-    cap = active_ball_cap() if cap is None else cap
-    m = a.arity
-    id_a, mul_a, val_a = _raw_ops(a)
-    id_b, mul_b, val_b = _raw_ops(b)
-    letters = letter_order(m)
-    frontier = [((), id_a, id_b)]
-    for length in range(1, r_max + 1):
-        if stratum_size(m, length) > cap:
-            raise BallCapExceeded(
-                f"radius-{length} stratum over {m} generators exceeds the cap of {cap}"
-            )
-        nxt = []
-        mismatches = []
-        for w, xa, xb in frontier:
-            last = w[-1] if w else 0
-            for ell in letters:
-                if ell == -last:
-                    continue
-                w2 = w + (ell,)
-                ya = mul_a(xa, val_a[ell])
-                yb = mul_b(xb, val_b[ell])
-                nxt.append((w2, ya, yb))
-                if (ya == id_a) != (yb == id_b):
-                    mismatches.append(w2)
-        if mismatches:
-            witness = min(mismatches, key=_word_key)
-            return length - 1, Word(witness, m)
-        frontier = nxt
+    ops_a, ops_b = _raw_ops(a), _raw_ops(b)
+    id_a, id_b = ops_a[0], ops_b[0]
+    for length, layer in enumerate(walk_ball(a.arity, r_max, ops_a, ops_b, cap), start=1):
+        # a layer is in ball order, so its first mismatch is the least one
+        for w, ya, yb in layer:
+            if (ya == id_a) != (yb == id_b):
+                return length - 1, Word(w, a.arity)
     return r_max, None
 
 

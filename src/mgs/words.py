@@ -11,9 +11,11 @@ inverse) so that enumerations are reproducible.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 DEFAULT_BALL_CAP = 2_000_000
 BALL_CAP_ENV = "MGS_BALL_CAP"
@@ -23,10 +25,30 @@ class BallCapExceeded(ValueError):
     """A requested enumeration would exceed the configured word cap."""
 
 
-def active_ball_cap() -> int:
-    """Enumeration cap; the MGS_BALL_CAP environment variable overrides it."""
-    raw = os.environ.get(BALL_CAP_ENV)
-    return int(raw) if raw else DEFAULT_BALL_CAP
+def active_ball_cap(cap: int | None = None) -> int:
+    """The word cap: `cap` if given, else MGS_BALL_CAP, else the default.
+
+    Either way it must be a positive integer.
+    """
+    if cap is None:
+        raw = os.environ.get(BALL_CAP_ENV)
+        if not raw:
+            return DEFAULT_BALL_CAP
+        if not raw.strip().isdecimal() or int(raw) < 1:
+            raise ValueError(f"{BALL_CAP_ENV} must be a positive integer, got {raw!r}")
+        return int(raw)
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"the word cap must be a positive integer, got {cap!r}")
+    return cap
+
+
+def check_cap(arity: int, length: int, cap: int | None = None) -> None:
+    """Refuse a layer of reduced words of the given length above the cap."""
+    cap = active_ball_cap(cap)
+    if stratum_size(arity, length) > cap:
+        raise BallCapExceeded(
+            f"radius-{length} stratum over {arity} generators exceeds the cap of {cap}"
+        )
 
 
 def _letter_key(letter: int) -> tuple[int, int]:
@@ -65,14 +87,6 @@ class Word:
             if a == -b:
                 raise ValueError("word is not freely reduced")
 
-    @classmethod
-    def identity(cls, arity: int) -> "Word":
-        return cls((), arity)
-
-    @classmethod
-    def generator(cls, index: int, arity: int) -> "Word":
-        return cls((index,), arity)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -109,20 +123,19 @@ class Word:
             vec[abs(ell) - 1] += 1 if ell > 0 else -1
         return tuple(vec)
 
-    def __str__(self) -> str:
+    def render(self, names: Sequence[str]) -> str:
+        """Run-length text of the word, generator i printed as names[i - 1]."""
         if not self.letters:
             return "1"
         parts = []
-        i = 0
-        while i < len(self.letters):
-            j = i
-            while j < len(self.letters) and self.letters[j] == self.letters[i]:
-                j += 1
-            exp = (j - i) if self.letters[i] > 0 else -(j - i)
-            name = f"g{abs(self.letters[i])}"
+        for letter, run in itertools.groupby(self.letters):
+            exp = len(list(run)) * (1 if letter > 0 else -1)
+            name = names[abs(letter) - 1]
             parts.append(name if exp == 1 else f"{name}^{exp}")
-            i = j
         return "*".join(parts)
+
+    def __str__(self) -> str:
+        return self.render([f"g{i}" for i in range(1, self.arity + 1)])
 
 
 def free_reduce(raw: Iterable[int], arity: int) -> Word:
@@ -153,42 +166,46 @@ def ball_size(arity: int, radius: int) -> int:
     return sum(stratum_size(arity, k) for k in range(radius + 1))
 
 
-def _check_cap(arity: int, radius: int, cap: int | None) -> None:
-    cap = active_ball_cap() if cap is None else cap
-    worst = stratum_size(arity, radius)
-    if worst > cap:
-        raise BallCapExceeded(
-            f"ball of radius {radius} over {arity} generators has a stratum of "
-            f"{worst} words, above the cap of {cap}"
-        )
+def trivial_ops(arity: int):
+    """The trivial group {0} under integer multiplication, as a flat marking."""
+    return 0, operator.mul, dict.fromkeys(letter_order(arity), 0)
 
 
-def iter_ball_letters(arity: int, radius: int) -> Iterator[tuple[int, ...]]:
-    """Reduced words of length <= radius as raw letter tuples, in ball order."""
+def walk_ball(arity: int, radius: int, ops_a, ops_b, cap: int | None = None):
+    """Reduced words of lengths 1..radius, one layer per length, in ball order.
+
+    ops_a and ops_b are flat markings, (identity, mul, letter -> value)
+    triples; each layer is a list of (letters, value_a, value_b) records.
+    Every length is checked against the cap before its layer is built.
+    """
     letters = letter_order(arity)
-    stratum: list[tuple[int, ...]] = [()]
-    yield ()
-    for _ in range(radius):
+    _, mul_a, val_a = ops_a
+    _, mul_b, val_b = ops_b
+    layer = [((), ops_a[0], ops_b[0])]
+    for length in range(1, radius + 1):
+        check_cap(arity, length, cap)
         nxt = []
-        for w in stratum:
-            last = w[-1] if w else 0
+        for w, xa, xb in layer:
+            back = -w[-1] if w else 0
             for ell in letters:
-                if ell == -last:
-                    continue
-                w2 = w + (ell,)
-                nxt.append(w2)
-                yield w2
-        stratum = nxt
+                if ell != back:
+                    nxt.append((w + (ell,), mul_a(xa, val_a[ell]), mul_b(xb, val_b[ell])))
+        layer = nxt
+        yield layer
 
 
 def enumerate_ball(arity: int, radius: int, cap: int | None = None) -> list[Word]:
-    """All reduced words of length <= radius, deduplicated and sorted."""
+    """All reduced words of length <= radius, in ball order."""
     if arity < 1:
         raise ValueError("arity must be at least 1")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    _check_cap(arity, radius, cap)
-    return [Word(w, arity) for w in iter_ball_letters(arity, radius)]
+    check_cap(arity, radius, cap)
+    trivial = trivial_ops(arity)
+    words = [Word((), arity)]
+    for layer in walk_ball(arity, radius, trivial, trivial, cap):
+        words.extend(Word(w, arity) for w, _, _ in layer)
+    return words
 
 
 @dataclass(frozen=True)

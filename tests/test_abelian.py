@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from mgs.abelian import (
     matmul,
     smith_normal_form,
 )
+import mgs
 from mgs.dihedral import materialize_table
 
 from helpers import abelian_closure, random_element, tables_isomorphic
@@ -68,6 +73,24 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 @settings(max_examples=150)
 def test_snf_random(mat):
     snf_oracle_check(mat)
+
+
+def test_snf_self_check_survives_optimized_mode():
+    # `python -O` strips assert statements; the self-check must still raise
+    script = (
+        "import mgs.abelian as ab\n"
+        "ab._snf_valid = lambda *args: False\n"
+        "try:\n"
+        "    ab.smith_normal_form([[2, 4], [6, 8]])\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mgs.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_canonical_invariant_factors_examples():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mgs.cli import main
 from mgs.tables import dumps_text, load_fixture
 
@@ -169,3 +171,19 @@ def test_parse_error_exit_code(capsys):
 def test_operational_error_exit_code(capsys):
     code, _, err = run(capsys, "ball", "D6:a,b", "--radius", "-1")
     assert code == 1
+
+
+def test_closure_map_has_no_arity_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["closure-map", "--arity", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "0"])
+def test_bad_ball_cap_is_a_json_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("MGS_BALL_CAP", value)
+    code, out, err = run(capsys, "dist", "D6:a,b", "Dinf:a,b")
+    assert code == 1
+    assert out == ""
+    assert "MGS_BALL_CAP" in json.loads(err)["error"]

@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from mgs.abelian import AbelianGroup, canonical_invariant_factors
 from mgs.dihedral import (
     GenDihedralGroup,
-    dih_inverse,
-    dih_multiply,
-    dih_order,
     evaluate_word,
     is_generating_dih,
     materialize_table,
@@ -43,11 +40,11 @@ def test_semidirect_rule_example():
 
 
 def test_inverse_and_order():
-    assert dih_inverse(D12, D12.rotation([2])) == D12.rotation([4])
-    assert dih_order(D12, D12.rotation([1])) == 6
-    assert dih_order(D12, D12.identity()) == 1
-    assert dih_order(DINF, DINF.rotation([3])) == math.inf
-    assert dih_multiply(D12, D12.rotation([1]), D12.rotation([2])) == D12.rotation([3])
+    assert D12.rotation([2]).inverse() == D12.rotation([4])
+    assert D12.rotation([1]).order() == 6
+    assert D12.identity().order() == 1
+    assert DINF.rotation([3]).order() == math.inf
+    assert D12.rotation([1]) * D12.rotation([2]) == D12.rotation([3])
 
 
 def test_rotations_commute():
