@@ -269,6 +269,8 @@ def enumerate_markings(
     orbits, listed in lexicographic order; orbit sizes add up to the
     number of generating tuples.
     """
+    if arity < 1:
+        raise ValueError(f"arity must be at least 1, got {arity}")
     n = table.order
     if n**arity > budget:
         raise ValueError(f"{n}^{arity} tuples exceed the enumeration budget")

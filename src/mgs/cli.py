@@ -149,7 +149,7 @@ def cmd_check(args) -> int:
 def cmd_classify(args) -> int:
     if os.path.exists(args.target):
         table = tables.load_table(args.target)
-        arity = args.arity or 2
+        arity = 2 if args.arity is None else args.arity
         classes = classify_mod.enumerate_markings(table, arity)
         _print(
             {
@@ -163,7 +163,7 @@ def cmd_classify(args) -> int:
     group = dsl.parse_group(args.target)
     if isinstance(group, GenDihedralGroup) and not group.base.invariant_factors:
         arity = group.base.free_rank + 1
-        if args.arity and args.arity != arity:
+        if args.arity is not None and args.arity != arity:
             raise ValueError(
                 f"markings of {group} have length {arity}, not {args.arity}"
             )
@@ -178,7 +178,7 @@ def cmd_classify(args) -> int:
         )
         return 0
     table = materialize_table(group)
-    arity = args.arity or 2
+    arity = 2 if args.arity is None else args.arity
     classes = classify_mod.enumerate_markings(table, arity)
     _print(
         {

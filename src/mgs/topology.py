@@ -7,12 +7,14 @@ relation balls induces the metric 2^-(R+1); everything here (distances,
 convergence reports, accumulation witnesses) is phrased in terms of
 exactly computed balls.
 
-Two comparison routes are implemented.  The generic route enumerates
-reduced words outright.  For abelian and generalized dihedral markings
-a word's value depends only on its net letter contributions, so balls
-can be compared through small integer profile vectors instead; both
-routes return identical radii and the enumeration route doubles as the
-test oracle for the profile route.
+Two comparison routes are implemented, both on one flat form: each
+marking is compiled once per comparison into plain integers (`_Flat`).
+The generic route enumerates reduced words outright.  For abelian and
+generalized dihedral markings a word's value depends only on its net
+letter contributions, so balls can be compared through small integer
+profile vectors instead, each tested by one dot product per base
+coordinate; both routes return identical radii, and the enumeration
+route doubles as the test oracle for the profile route.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .abelian import (
@@ -161,18 +164,35 @@ class RelationBall:
         }
 
 
-def _raw_ops(marked: MarkedGroup):
-    """(identity, mul, letter -> value) in a flat representation, as walk_ball takes it."""
-    g, S = marked.group, marked.generators
-    if isinstance(g, FiniteGroupTable):
-        rows = g.rows
-        values = {}
-        for i, s in enumerate(S, start=1):
-            values[i] = s
-            values[-i] = g.inv(s)
-        return 0, (lambda a, b: rows[a][b]), values
-    if isinstance(g, AbelianGroup):
-        moduli = (None,) * g.free_rank + g.invariant_factors
+class _Flat:
+    """A marking compiled once to flat integers.
+
+    A table marking keeps its Cayley rows and letter values (element
+    indices).  An abelian or Dih(A) marking keeps the base's moduli (None
+    for a free coordinate, which is never reduced) and each generator's
+    coordinate tuple and eps bit (0 throughout for an abelian group).
+    """
+
+    def __init__(self, marked: MarkedGroup):
+        g, S = marked.group, marked.generators
+        self.dihedral = isinstance(g, GenDihedralGroup)
+        if isinstance(g, FiniteGroupTable):
+            self.rows = g.rows
+            self.letters = {i: s for i, s in enumerate(S, start=1)}
+            self.letters.update({-i: g.inv(s) for i, s in enumerate(S, start=1)})
+            return
+        self.rows = None
+        base = g.base if self.dihedral else g
+        self.moduli = (None,) * base.free_rank + base.invariant_factors
+        parts = [(s.v, s.eps) for s in S] if self.dihedral else [(s, 0) for s in S]
+        self.gens = tuple((v.coordinates(), e) for v, e in parts)
+
+    def ops(self):
+        """(identity, mul, letter -> value), as walk_ball takes it."""
+        if self.rows is not None:
+            rows = self.rows
+            return 0, (lambda a, b: rows[a][b]), self.letters
+        moduli = self.moduli
 
         def mul(a, b):
             return tuple(
@@ -180,35 +200,32 @@ def _raw_ops(marked: MarkedGroup):
                 for x, y, m in zip(a, b, moduli)
             )
 
+        def dmul(a, b):
+            (va, ea), (vb, eb) = a, b
+            if ea:
+                vb = tuple(-x for x in vb)
+            return (
+                tuple(
+                    (x + y) if m is None else (x + y) % m
+                    for x, y, m in zip(va, vb, moduli)
+                ),
+                ea ^ eb,
+            )
+
         identity = (0,) * len(moduli)
         values = {}
-        for i, s in enumerate(S, start=1):
-            values[i] = s.coordinates()
-            values[-i] = (-s).coordinates()
+        for i, (v, e) in enumerate(self.gens, start=1):
+            inv = v if e else tuple(-x if m is None else -x % m for x, m in zip(v, moduli))
+            values[i], values[-i] = ((v, e), (inv, e)) if self.dihedral else (v, inv)
+        if self.dihedral:
+            return (identity, 0), dmul, values
         return identity, mul, values
-    base = g.base
-    moduli = (None,) * base.free_rank + base.invariant_factors
 
-    def dmul(a, b):
-        va, ea = a
-        vb, eb = b
-        if ea:
-            vb = tuple(-x for x in vb)
-        return (
-            tuple(
-                (x + y) if m is None else (x + y) % m
-                for x, y, m in zip(va, vb, moduli)
-            ),
-            ea ^ eb,
-        )
-
-    identity = ((0,) * len(moduli), 0)
-    values = {}
-    for i, s in enumerate(S, start=1):
-        values[i] = (s.v.coordinates(), s.eps)
-        inv = s.inverse()
-        values[-i] = (inv.v.coordinates(), inv.eps)
-    return identity, dmul, values
+    def columns(self):
+        """Per base coordinate: its values at the profile positions (the
+        rotation entries, then the reflection entries), and its modulus."""
+        parts = [v for v, e in self.gens if not e] + [v for v, e in self.gens if e]
+        return [(tuple(v[k] for v in parts), m) for k, m in enumerate(self.moduli)]
 
 
 def relation_ball(marked: MarkedGroup, radius: int, cap: int | None = None) -> RelationBall:
@@ -217,7 +234,7 @@ def relation_ball(marked: MarkedGroup, radius: int, cap: int | None = None) -> R
         raise ValueError("radius must be nonnegative")
     m = marked.arity
     check_cap(m, radius, cap)
-    ops = _raw_ops(marked)
+    ops = _Flat(marked).ops()
     identity = ops[0]
     relations = [Word((), m)]
     for layer in walk_ball(m, radius, ops, trivial_ops(m), cap):
@@ -230,7 +247,7 @@ def relation_ball(marked: MarkedGroup, radius: int, cap: int | None = None) -> R
 
 
 def _compare_enumerate(a: MarkedGroup, b: MarkedGroup, r_max: int, cap: int | None):
-    ops_a, ops_b = _raw_ops(a), _raw_ops(b)
+    ops_a, ops_b = _Flat(a).ops(), _Flat(b).ops()
     id_a, id_b = ops_a[0], ops_b[0]
     for length, layer in enumerate(walk_ball(a.arity, r_max, ops_a, ops_b, cap), start=1):
         # a layer is in ball order, so its first mismatch is the least one
@@ -267,15 +284,6 @@ def profile_comparable(a: MarkedGroup, b: MarkedGroup) -> bool:
     return pa is not None and pa == pb
 
 
-def _profile_parts(marked: MarkedGroup):
-    g = marked.group
-    if isinstance(g, AbelianGroup):
-        return list(marked.generators), []
-    rot = [x.v for x in marked.generators if x.eps == 0]
-    ref = [x.v for x in marked.generators if x.eps == 1]
-    return rot, ref
-
-
 def _signed_vectors(dim: int, total: int):
     """Integer vectors with L1 norm exactly `total`, first coordinate high."""
     if dim == 0:
@@ -292,25 +300,23 @@ def _signed_vectors(dim: int, total: int):
             yield (head,) + tail
 
 
-def _profile_is_relation(rot_parts, ref_parts, x, d) -> bool:
-    value = None
-    for c, v in zip(x, rot_parts):
-        if c:
-            value = c * v if value is None else value + c * v
-    for c, w in zip(d, ref_parts):
-        if c:
-            value = c * w if value is None else value + c * w
-    return value is None or value.is_identity()
+def _flat_relation(columns, p) -> bool:
+    """Whether the profile p (x, then d) is a relation of a compiled marking.
+
+    One integer dot product per base coordinate: reduced mod m on a
+    torsion coordinate, compared to 0 on a free one.
+    """
+    for col, m in columns:
+        s = sum(map(mul, col, p))
+        if (s % m if m else s) != 0:
+            return False
+    return True
 
 
 def _profile_word(marked: MarkedGroup, x: tuple[int, ...], d: tuple[int, ...]) -> Word:
-    g = marked.group
-    if isinstance(g, AbelianGroup):
-        rot_pos = list(range(1, marked.arity + 1))
-        ref_pos = []
-    else:
-        rot_pos = [i + 1 for i, s in enumerate(marked.generators) if s.eps == 0]
-        ref_pos = [i + 1 for i, s in enumerate(marked.generators) if s.eps == 1]
+    pattern = _profile_pattern(marked)
+    rot_pos = [i + 1 for i, e in enumerate(pattern) if not e]
+    ref_pos = [i + 1 for i, e in enumerate(pattern) if e]
     plus = []
     minus = []
     for c, pos in zip(d, ref_pos):
@@ -333,9 +339,9 @@ def _profile_word(marked: MarkedGroup, x: tuple[int, ...], d: tuple[int, ...]) -
 
 
 def _compare_profiles(a: MarkedGroup, b: MarkedGroup, r_max: int):
-    rot_a, ref_a = _profile_parts(a)
-    rot_b, ref_b = _profile_parts(b)
-    n_rot, n_ref = len(rot_a), len(ref_a)
+    cols_a, cols_b = _Flat(a).columns(), _Flat(b).columns()
+    n_ref = sum(_profile_pattern(a))
+    n_rot = a.arity - n_ref
     for norm in range(1, r_max + 1):
         for d_norm in range(0, norm + 1):
             x_norm = norm - d_norm
@@ -343,9 +349,8 @@ def _compare_profiles(a: MarkedGroup, b: MarkedGroup, r_max: int):
                 if sum(d) != 0:
                     continue
                 for x in _signed_vectors(n_rot, x_norm):
-                    in_a = _profile_is_relation(rot_a, ref_a, x, d)
-                    in_b = _profile_is_relation(rot_b, ref_b, x, d)
-                    if in_a != in_b:
+                    p = x + d
+                    if _flat_relation(cols_a, p) != _flat_relation(cols_b, p):
                         return norm - 1, _profile_word(a, x, d)
     return r_max, None
 
@@ -454,10 +459,9 @@ def check_convergence(
     only a certificate up to the tested radii; refutations are exact.
     """
     indices = tuple(indices)
-    if schedule is None:
-        schedule = tuple(range(1, len(indices) + 1))
-    else:
-        schedule = tuple(schedule)
+    if not indices:
+        raise ValueError("no indices: a report over an empty family certifies nothing")
+    schedule = tuple(range(1, len(indices) + 1) if schedule is None else schedule)
     if len(schedule) != len(indices):
         raise ValueError("schedule and indices must have equal length")
     if r_max is None:
@@ -473,12 +477,8 @@ def check_convergence(
     for member in members:
         if member.arity != limit.arity:
             raise ValueError("family and limit must share one arity")
-    radii = []
-    witnesses = []
-    for member in members:
-        radius, witness = _compare(member, limit, r_max, method, cap)
-        radii.append(radius)
-        witnesses.append(witness)
+    results = [_compare(member, limit, r_max, method, cap) for member in members]
+    radii = [radius for radius, _ in results]
     for pos in range(len(indices)):
         bad = radii[pos] < schedule[pos] or (pos > 0 and radii[pos] < radii[pos - 1])
         if bad:
@@ -487,7 +487,7 @@ def check_convergence(
                 tuple(radii),
                 schedule,
                 "refuted",
-                witnesses[pos],
+                results[pos][1],
                 indices[pos],
             )
     return ConvergenceReport(

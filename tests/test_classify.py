@@ -70,6 +70,12 @@ def test_enumerate_markings_budget():
         enumerate_markings(dihedral_table(6), 8, budget=1000)
 
 
+@pytest.mark.parametrize("arity", [0, -1])
+def test_enumerate_markings_rejects_arity_below_one(arity):
+    with pytest.raises(ValueError, match="arity must be at least 1"):
+        enumerate_markings(dihedral_table(6), arity)
+
+
 def test_canonical_marking_examples():
     s0 = canonical_marking(2, {2})
     assert [str(x) for x in s0] == ["rot(1)", "ref(0)"]

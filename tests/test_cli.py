@@ -126,6 +126,37 @@ def test_classify_free_by_flip(capsys):
     assert len(payload["classes"]) == 7
 
 
+@pytest.mark.parametrize("arity", ["0", "-1"])
+def test_classify_rejects_arity_below_one(capsys, arity):
+    code, out, err = run(capsys, "classify", "D12", "--arity", arity)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == f"arity must be at least 1, got {arity}"
+
+
+def test_classify_free_by_flip_checks_an_explicit_arity(capsys):
+    code, out, err = run(capsys, "classify", "Dih(Z^2)", "--arity", "0")
+    assert code == 1
+    assert out == ""
+    assert "not 0" in json.loads(err)["error"]
+
+
+def test_converge_rejects_an_empty_range(capsys):
+    code, out, err = run(
+        capsys,
+        "converge",
+        "--family",
+        "Dih(Z/N):a,b",
+        "--limit",
+        "Dinf:a,b",
+        "--range",
+        "3..2",
+    )
+    assert code == 1
+    assert out == ""
+    assert "empty family" in json.loads(err)["error"]
+
+
 def test_cb_rank(capsys):
     code, out, _ = run(capsys, "cb-rank", "Dih(Z^2)", "--family", "dihedral")
     assert code == 0

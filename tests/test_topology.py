@@ -2,12 +2,17 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgs.abelian import AbelianGroup, canonical_invariant_factors
 from mgs.dihedral import GenDihedralGroup
 from mgs.tables import load_fixture
 from mgs.topology import (
     FamilyError,
+    _compare_profiles,
+    _profile_word,
+    _signed_vectors,
     MarkedGroup,
     NotGenerating,
     accumulation_witness,
@@ -230,6 +235,13 @@ def test_check_convergence_schedule_validation():
         )
 
 
+def test_check_convergence_rejects_an_empty_family():
+    with pytest.raises(ValueError, match="empty family"):
+        check_convergence(lambda k: cyclic_marked(k), cyclic_marked(None), range(3, 3))
+    with pytest.raises(ValueError, match="empty family"):
+        check_convergence([], cyclic_marked(None), [])
+
+
 def test_limit_decision_table():
     assert is_limit_of_dihedral(GenDihedralGroup(canonical_invariant_factors([None, 6]))).value
     assert not is_limit_of_dihedral(GenDihedralGroup(AbelianGroup(0, (2, 4)))).value
@@ -407,3 +419,146 @@ def test_closure_characteristic():
 
 def test_marked_str():
     assert str(dihedral_marked(6)) == "Dih(Z/6):ref(0),rot(1)"
+
+
+# ---------------------------------------------------------------------------
+# The profile route against oracles, on random same-pattern markings
+
+
+@st.composite
+def abelian_groups(draw, max_rank):
+    free = draw(st.integers(0, min(2, max_rank)))
+    factors = []
+    for _ in range(draw(st.integers(0, min(2, max_rank - free)))):
+        factors.append((factors[-1] if factors else 1) * draw(st.integers(2, 4)))
+    return AbelianGroup(free, tuple(factors))
+
+
+@st.composite
+def generating_coordinates(draw, group, length):
+    """Coordinates of a generating tuple of `group` of the given length:
+    its standard generators and random padding, mixed by elementary
+    moves (which keep the tuple generating) and shuffled."""
+    small = st.integers(-2, 2)
+    coords = [list(x.coordinates()) for x in group.generators()]
+    for _ in range(length - group.rank):
+        coords.append(draw(st.lists(small, min_size=group.rank, max_size=group.rank)))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, length - 1)), draw(st.integers(0, length - 1))
+        if i != j:
+            c = draw(small)
+            coords[i] = [x + c * y for x, y in zip(coords[i], coords[j])]
+    return draw(st.permutations(coords))
+
+
+@st.composite
+def collapsed(draw, group):
+    """A quotient Z^r x T -> Z^(r-1) x T x Z/k killing k times the last free
+    generator, as (target group, coordinate map).  Markings related by it
+    can agree on larger balls than independent ones, so the routes are
+    tested past their first few profiles."""
+    k = (group.invariant_factors[-1:] or (1,))[0] * draw(st.integers(2, 6))
+    r = group.free_rank
+    target = AbelianGroup(r - 1, group.invariant_factors + (k,))
+    return target, lambda c: [*c[: r - 1], *c[r:], c[r - 1] % k]
+
+
+@st.composite
+def marked_pairs(draw, arity, max_rank, min_rank, build, lead=0):
+    """Two markings build(group, coordinates): independent draws, or the
+    second one the image of the first under a collapse of a free factor.
+    The coordinates are `lead` arbitrary vectors, then a generating tuple."""
+
+    def draw_coords(group):
+        vector = st.lists(st.integers(-3, 3), min_size=group.rank, max_size=group.rank)
+        return [draw(vector) for _ in range(lead)] + draw(
+            generating_coordinates(group, arity)
+        )
+
+    group = draw(abelian_groups(max_rank).filter(lambda g: g.rank >= min_rank))
+    coords = draw_coords(group)
+    if group.free_rank and draw(st.booleans()):
+        other, image = draw(collapsed(group))
+        other_coords = [image(c) for c in coords]
+    else:
+        other = draw(abelian_groups(max_rank).filter(lambda g: g.rank >= min_rank))
+        other_coords = draw_coords(other)
+    return build(group, coords), build(other, other_coords)
+
+
+@st.composite
+def abelian_pairs(draw):
+    arity = draw(st.integers(1, 3))
+
+    def build(group, coords):
+        return MarkedGroup(group, [group.from_coordinates(c) for c in coords])
+
+    return draw(marked_pairs(arity, arity, 0, build))
+
+
+@st.composite
+def dihedral_pairs(draw):
+    """Two Dih(A) markings with one involution pattern, A of rank 1 to 3.
+
+    The first reflection's translation is the first coordinate vector; the
+    rotation parts and the later reflections' differences from it are the
+    rest, a generating tuple of A, so the marking generates.
+    """
+    arity = draw(st.integers(2, 4))
+    pattern = draw(st.lists(st.integers(0, 1), min_size=arity, max_size=arity).filter(any))
+
+    def build(base, coords):
+        group = GenDihedralGroup(base)
+        first = base.from_coordinates(coords[0])
+        parts = iter(base.from_coordinates(c) for c in coords[1:])
+        gens = []
+        for eps in pattern:
+            if not eps:
+                gens.append(group.rotation(next(parts)))
+            elif any(g.eps for g in gens):
+                gens.append(group.reflection(first + next(parts)))
+            else:
+                gens.append(group.reflection(first))
+        return MarkedGroup(group, gens)
+
+    return draw(marked_pairs(arity - 1, min(3, arity - 1), 1, build, lead=1))
+
+
+def oracle_profiles(a, b, r_max):
+    """The profile order of the route, each profile decided by evaluating
+    its word with the rich elements of MarkedGroup.is_relation."""
+    n_ref = sum(getattr(s, "eps", 0) for s in a.generators)
+    for norm in range(1, r_max + 1):
+        for d_norm in range(norm + 1):
+            for d in _signed_vectors(n_ref, d_norm):
+                if sum(d) != 0:
+                    continue
+                for x in _signed_vectors(a.arity - n_ref, norm - d_norm):
+                    word = _profile_word(a, x, d)
+                    if a.is_relation(word) != b.is_relation(word):
+                        return norm - 1, word
+    return r_max, None
+
+
+def check_profile_route(pair, r_profile, r_enumerate):
+    a, b = pair
+    assert _compare_profiles(a, b, r_profile) == oracle_profiles(a, b, r_profile)
+    radius, witness = _compare_profiles(a, b, r_enumerate)
+    assert radius == agreement_radius(a, b, r_enumerate, method="enumerate")
+    enumerated = separating_word(a, b, r_enumerate, method="enumerate")
+    assert (witness is None) == (enumerated is None)
+    if witness is not None:
+        assert len(witness) == len(enumerated)
+        assert a.is_relation(witness) != b.is_relation(witness)
+
+
+@given(abelian_pairs(), st.integers(1, 7), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_profile_route_matches_oracles_on_abelian_markings(pair, r_profile, r_enumerate):
+    check_profile_route(pair, r_profile, r_enumerate)
+
+
+@given(dihedral_pairs(), st.integers(1, 6), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_profile_route_matches_oracles_on_dihedral_markings(pair, r_profile, r_enumerate):
+    check_profile_route(pair, r_profile, r_enumerate)
