@@ -403,17 +403,19 @@ def canonical_invariant_factors(orders: Iterable) -> AbelianGroup:
             raise ValueError(f"cyclic order {n!r} must be a positive integer or infinity")
         for p, e in _factorize(n).items():
             exponents.setdefault(p, []).append(e)
-    slots = max((len(v) for v in exponents.values()), default=0)
-    factors = []
-    for s in range(slots):
-        d = 1
-        for p, exps in exponents.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if s < len(exps_sorted):
-                d *= p ** exps_sorted[s]
-        factors.append(d)
-    factors = [d for d in factors if d > 1]
-    return AbelianGroup(free, tuple(sorted(factors)))
+    return AbelianGroup(free, _invariant_factors(exponents))
+
+
+def _invariant_factors(exponents: dict[int, list[int]]) -> tuple[int, ...]:
+    """The sorted invariant factors (all > 1) of the product of the cyclic
+    groups Z/p^e, given for each prime p its list of exponents e."""
+    columns = {p: sorted(exps, reverse=True) for p, exps in exponents.items()}
+    slots = max(map(len, columns.values()), default=0)
+    factors = [
+        math.prod(p ** exps[s] for p, exps in columns.items() if s < len(exps))
+        for s in range(slots)
+    ]
+    return tuple(sorted(d for d in factors if d > 1))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import classify as classify_mod
@@ -31,8 +32,10 @@ def _as_table(arg: str) -> tables.FiniteGroupTable:
 
 
 def _range(text: str) -> range:
-    lo, _, hi = text.partition("..")
-    return range(int(lo), int(hi) + 1)
+    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
+    if m is None:
+        raise ValueError(f"a range is a..b with integer ends, got {text!r}")
+    return range(int(m.group(1)), int(m.group(2)) + 1)
 
 
 def cmd_ball(args) -> int:
@@ -148,43 +151,28 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     if os.path.exists(args.target):
-        table = tables.load_table(args.target)
-        arity = 2 if args.arity is None else args.arity
-        classes = classify_mod.enumerate_markings(table, arity)
-        _print(
-            {
-                "structure": args.target,
-                "arity": arity,
-                "count": len(classes),
-                "classes": [c.to_json() for c in classes],
-            }
-        )
-        return 0
-    group = dsl.parse_group(args.target)
+        structure, group = args.target, tables.load_table(args.target)
+    else:
+        group = dsl.parse_group(args.target)
+        structure = str(group)
+    arity = args.arity
     if isinstance(group, GenDihedralGroup) and not group.base.invariant_factors:
-        arity = group.base.free_rank + 1
-        if args.arity is not None and args.arity != arity:
-            raise ValueError(
-                f"markings of {group} have length {arity}, not {args.arity}"
-            )
-        classes = classify_mod.canonical_classes(arity)
-        _print(
-            {
-                "structure": str(group),
-                "arity": arity,
-                "count": classify_mod.count_marking_classes(arity),
-                "classes": [c.to_json() for c in classes],
-            }
-        )
-        return 0
-    table = materialize_table(group)
-    arity = 2 if args.arity is None else args.arity
-    classes = classify_mod.enumerate_markings(table, arity)
+        length = group.base.free_rank + 1
+        if arity not in (None, length):
+            raise ValueError(f"markings of {group} have length {length}, not {arity}")
+        arity, classes = length, classify_mod.canonical_classes(length)
+        count = classify_mod.count_marking_classes(length)
+    else:
+        if not isinstance(group, tables.FiniteGroupTable):
+            group = materialize_table(group)
+        arity = 2 if arity is None else arity
+        classes = classify_mod.enumerate_markings(group, arity)
+        count = len(classes)
     _print(
         {
-            "structure": str(group),
+            "structure": structure,
             "arity": arity,
-            "count": len(classes),
+            "count": count,
             "classes": [c.to_json() for c in classes],
         }
     )

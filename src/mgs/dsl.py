@@ -9,20 +9,28 @@ Grammar (EBNF):
     element  := ALIAS | "rot" "(" coords ")" | "ref" "(" coords ")"
               | "(" coords ")"
     coords   := sint ("," sint)* (";" sint ("," sint)*)?
-    word     := (GEN | ALIAS+) ("^" sint)? ...
+    word     := product     with NAME a GEN or a run of ALIASes
     sentence := "forall" NAME+ ":" formula | "@" NAME
     formula  := or ("->" formula)?
     or       := and ("|" and)*
     and      := unary ("&" unary)*
     unary    := "!" unary | "(" formula ")" | term ("=" | "!=") term
-    term     := factor ("*"? factor)* | "1"
+    term     := product     with NAME a variable or a run of variables
+    product  := "*"* ("1" | factor) ("*" | factor)*
     factor   := NAME ("^" sint)? | "(" term ")" ("^" sint)?
+
+Words and terms share the one `product` reader; only a term's factor
+may be parenthesized.  Counts read from text are bounded by the word
+cap (words.active_ball_cap): a power may expand to at most that many
+letters and Z^n needs n at most the cap; a larger count is a ParseError
+at its integer, raised before any list is built.
 
 Element coordinates list free coordinates first; a ";" separates the
 torsion residues explicitly, otherwise the split is positional.  A lone
 0 abbreviates the zero vector.  Aliases a, b, c, ... on a dihedral
 group mark the plain flip and then the base coordinate rotations;
-inside words they name g1, g2, ... by alphabet position.
+inside words they name g1, g2, ... by alphabet position.  Element
+literals are resolved against their group as they are read.
 
 The parser is hand-written recursive descent; errors carry the line,
 column and the production being read.  Every parser round-trips with
@@ -32,14 +40,13 @@ the canonical printers in this module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .abelian import INFINITE, AbelianElement, AbelianGroup, canonical_invariant_factors
+from .abelian import INFINITE, AbelianGroup, canonical_invariant_factors
 from .dihedral import GenDihedralGroup
 from .logic import And, Atom, Formula, Implies, Not, Or, UniversalSentence, builtin_sentence
 from .topology import MarkedGroup
-from .words import Word, free_reduce
+from .words import Word, _reduce, active_ball_cap, free_reduce
 
 
 class ParseError(ValueError):
@@ -59,8 +66,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'int' | 'name' | 'sym' | 'end'
     text: str
     line: int
@@ -78,10 +84,7 @@ def _tokenize(text: str) -> list[_Token]:
         kind = m.lastgroup
         chunk = m.group()
         if kind != "ws":
-            if kind in ("arrow", "ne"):
-                tokens.append(_Token("sym", chunk, line, col))
-            else:
-                tokens.append(_Token(kind, chunk, line, col))
+            tokens.append(_Token("sym" if kind in ("arrow", "ne") else kind, chunk, line, col))
         newlines = chunk.count("\n")
         if newlines:
             line += newlines
@@ -97,6 +100,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self._cap: int | None = None
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -126,18 +130,32 @@ class _Parser:
         if tok.kind != "end":
             self.error(f"unexpected trailing input {tok.text!r}")
 
-    def integer(self, production: str) -> int:
+    def integer(self, production: str, bound: int | None = None) -> int:
+        """An integer, refused above `bound` (a count that sizes a list)."""
         tok = self.peek()
         if tok.kind != "int":
             self.error(f"expected an integer in {production}")
         self.next()
+        if bound is not None and int(tok.text) > bound:
+            self.error(
+                f"{production} {tok.text} is over {bound}, the most the word cap "
+                f"of {self.cap} allows",
+                tok,
+            )
         return int(tok.text)
 
-    def signed_integer(self, production: str) -> int:
+    def signed_integer(self, production: str, bound: int | None = None) -> int:
         if self.at_sym("-"):
             self.next()
-            return -self.integer(production)
-        return self.integer(production)
+            return -self.integer(production, bound)
+        return self.integer(production, bound)
+
+    @property
+    def cap(self) -> int:
+        """The word cap, read once per parse and only if a count needs it."""
+        if self._cap is None:
+            self._cap = active_ball_cap()
+        return self._cap
 
     # -- groups -------------------------------------------------------
 
@@ -150,7 +168,7 @@ class _Parser:
             self.next()
             if self.at_sym("^"):
                 self.next()
-                return [INFINITE] * self.integer("free rank")
+                return [INFINITE] * self.integer("free rank", self.cap)
             if self.at_sym("/"):
                 self.next()
                 return [self.integer("cyclic order")]
@@ -197,67 +215,104 @@ class _Parser:
 
     # -- elements -----------------------------------------------------
 
-    def coords(self) -> tuple[list[int], list[int] | None]:
+    def coords(self) -> list[list[int]]:
+        """The coordinate groups of a literal: [coords] or [coords, torsion]."""
         if self.at_sym(")"):
-            return [], None
-        first = [self.signed_integer("coordinates")]
+            return [[]]
+        parts = [[self.signed_integer("coordinates")]]
+        while self.at_sym(",") or (self.at_sym(";") and len(parts) == 1):
+            if self.next().text == ";":
+                parts.append([])
+            parts[-1].append(
+                self.signed_integer("coordinates" if len(parts) == 1 else "torsion residues")
+            )
+        return parts
+
+    def element(self, group, alone: bool = False):
+        """Read one element literal and resolve it against `group`; a
+        literal that must be `alone` in the input is checked for trailing
+        input before it is resolved."""
+        tok = self.next()
+        alias = tok.kind == "name" and tok.text not in ("rot", "ref")
+        if not alias:
+            if tok.kind == "name":
+                production = f"{tok.text}(...)"
+                self.expect_sym("(", production)
+            elif tok.kind == "sym" and tok.text == "(":
+                production = "coordinate literal"
+            else:
+                self.error("expected an element literal", tok)
+            parts = self.coords()
+            self.expect_sym(")", production)
+        if alone:
+            self.expect_end()
+        if alias:
+            return _resolve_alias(tok.text, group)
+        dihedral = isinstance(group, GenDihedralGroup)
+        if not dihedral and not isinstance(group, AbelianGroup):
+            raise TypeError(f"cannot resolve elements of {type(group).__name__}")
+        if dihedral and tok.text == "(":
+            raise ValueError("elements of a dihedral group need a rot(...) or ref(...) tag")
+        if not dihedral and tok.text != "(":
+            raise ValueError("abelian elements are plain coordinate tuples")
+        base = group.base if dihedral else group
+        value = base.from_coordinates(parts[0]) if len(parts) == 1 else base.element(*parts)
+        return group.element(value, 1 if tok.text == "ref" else 0) if dihedral else value
+
+    def elements(self, group) -> tuple:
+        """element ("," element)* to the end of input, each resolved as read."""
+        out = [self.element(group)]
         while self.at_sym(","):
             self.next()
-            first.append(self.signed_integer("coordinates"))
-        if not self.at_sym(";"):
-            return first, None
+            out.append(self.element(group))
+        self.expect_end()
+        return tuple(out)
+
+    # -- words and terms ----------------------------------------------
+
+    def power(self, base: Sequence[int], production: str) -> Sequence[int]:
+        """`base` raised to an optional ^sint; the expansion may not be
+        longer than the word cap."""
+        if not self.at_sym("^"):
+            return base
         self.next()
-        second = [self.signed_integer("torsion residues")]
-        while self.at_sym(","):
-            self.next()
-            second.append(self.signed_integer("torsion residues"))
-        return first, second
+        bound = self.cap // len(base) if base else None
+        exp = self.signed_integer(f"{production} exponent", bound)
+        if exp < 0:
+            base = [-letter for letter in reversed(base)]
+        return list(base) * abs(exp)
 
-    def element_literal(self) -> "ElementLiteral":
-        tok = self.peek()
-        if tok.kind == "name" and tok.text in ("rot", "ref"):
-            self.next()
-            self.expect_sym("(", f"{tok.text}(...)")
-            coords, torsion = self.coords()
-            self.expect_sym(")", f"{tok.text}(...)")
-            return ElementLiteral(tok.text, tuple(coords), None if torsion is None else tuple(torsion))
-        if self.at_sym("("):
-            self.next()
-            coords, torsion = self.coords()
-            self.expect_sym(")", "coordinate literal")
-            return ElementLiteral("plain", tuple(coords), None if torsion is None else tuple(torsion))
-        if tok.kind == "name":
-            self.next()
-            return ElementLiteral("alias", (), None, tok.text)
-        self.error("expected an element literal")
-
-    # -- words --------------------------------------------------------
-
-    def word(self, arity: int | None) -> Word:
+    def product(self, indices: Callable[[str], list[int]], production: str) -> list[int]:
+        """The letters of a word or term, `indices` giving a name's letters:
+        factors with optional '*', a leading 1, and in terms (x y)^n."""
         letters: list[int] = []
         saw = False
         while True:
             tok = self.peek()
             if tok.kind == "int" and tok.text == "1" and not saw:
                 self.next()
-                saw = True
-                continue
-            if tok.kind == "sym" and tok.text == "*":
+            elif tok.kind == "sym" and tok.text == "*":
                 self.next()
                 continue
-            if tok.kind != "name":
+            elif tok.kind == "sym" and tok.text == "(" and production == "term":
+                self.next()
+                inner = _reduce(self.product(indices, production))
+                self.expect_sym(")", "parenthesized term")
+                letters += self.power(inner, production)
+            elif tok.kind == "name":
+                self.next()
+                *head, last = indices(tok.text)
+                letters += head
+                letters += self.power((last,), production)
+            else:
                 break
-            self.next()
-            indices = _word_indices(tok.text, self)
-            for pos, index in enumerate(indices):
-                exp = 1
-                if pos == len(indices) - 1 and self.at_sym("^"):
-                    self.next()
-                    exp = self.signed_integer("word exponent")
-                letters.extend([index if exp > 0 else -index] * abs(exp))
             saw = True
         if not saw:
-            self.error("expected a word")
+            self.error(f"expected a {production}")
+        return letters
+
+    def word(self, arity: int | None) -> Word:
+        letters = self.product(lambda name: _word_indices(name, self), "word")
         inferred = max((abs(l) for l in letters), default=0)
         if arity is None:
             arity = inferred
@@ -341,104 +396,27 @@ class _Parser:
         self.error("expected '=' or '!=' in an atom")
 
     def term(self, variables: list[str]) -> Word:
-        k = len(variables)
-        letters: list[int] = []
-        saw = False
-        while True:
-            tok = self.peek()
-            if tok.kind == "int" and tok.text == "1" and not saw:
-                self.next()
-                saw = True
-                continue
-            if tok.kind == "sym" and tok.text == "*":
-                self.next()
-                continue
-            if tok.kind == "sym" and tok.text == "(":
-                # (term)^exp
-                self.next()
-                inner = self.term(variables)
-                self.expect_sym(")", "parenthesized term")
-                exp = 1
-                if self.at_sym("^"):
-                    self.next()
-                    exp = self.signed_integer("term exponent")
-                letters.extend((inner**exp).letters)
-                saw = True
-                continue
-            if tok.kind != "name":
-                break
-            self.next()
-            indices = _variable_indices(tok.text, variables, self)
-            for pos, index in enumerate(indices):
-                exp = 1
-                if pos == len(indices) - 1 and self.at_sym("^"):
-                    self.next()
-                    exp = self.signed_integer("term exponent")
-                letters.extend([index if exp > 0 else -index] * abs(exp))
-            saw = True
-        if not saw:
-            self.error("expected a term")
-        return free_reduce(letters, k)
+        letters = self.product(lambda name: _variable_indices(name, variables, self), "term")
+        return free_reduce(letters, len(variables))
 
 
 def _word_indices(name: str, parser: _Parser) -> list[int]:
     m = re.fullmatch(r"g(\d+)", name)
     if m:
-        index = int(m.group(1))
-        if index < 1:
+        if int(m.group(1)) < 1:
             parser.error("generator indices are 1-based")
-        return [index]
-    indices = []
-    for ch in name:
-        if not ch.islower():
-            parser.error(f"unknown generator {name!r}")
-        indices.append(ord(ch) - ord("a") + 1)
-    return indices
+        return [int(m.group(1))]
+    if not all(ch.islower() for ch in name):
+        parser.error(f"unknown generator {name!r}")
+    return [ord(ch) - ord("a") + 1 for ch in name]
 
 
 def _variable_indices(name: str, variables: list[str], parser: _Parser) -> list[int]:
     if name in variables:
         return [variables.index(name) + 1]
-    indices = []
-    for ch in name:
-        if ch not in variables:
-            parser.error(f"unknown variable {name!r}")
-        indices.append(variables.index(ch) + 1)
-    return indices
-
-
-# ---------------------------------------------------------------------------
-# Element literals
-
-
-@dataclass(frozen=True)
-class ElementLiteral:
-    kind: str  # 'rot' | 'ref' | 'plain' | 'alias'
-    coords: tuple[int, ...]
-    torsion: tuple[int, ...] | None = None
-    alias: str | None = None
-
-    def resolve(self, group):
-        if self.kind == "alias":
-            return _resolve_alias(self.alias, group)
-        if isinstance(group, GenDihedralGroup):
-            if self.kind == "plain":
-                raise ValueError(
-                    "elements of a dihedral group need a rot(...) or ref(...) tag"
-                )
-            base_value = _coerce_coords(group.base, self.coords, self.torsion)
-            return group.element(base_value, 1 if self.kind == "ref" else 0)
-        if isinstance(group, AbelianGroup):
-            if self.kind != "plain":
-                raise ValueError("abelian elements are plain coordinate tuples")
-            return _coerce_coords(group, self.coords, self.torsion)
-        raise TypeError(f"cannot resolve elements of {type(group).__name__}")
-
-
-def _coerce_coords(group: AbelianGroup, coords, torsion) -> AbelianElement:
-    if torsion is not None:
-        return group.element(coords, torsion)
-    return group.from_coordinates(coords)
+    if not all(ch in variables for ch in name):
+        parser.error(f"unknown variable {name!r}")
+    return [variables.index(ch) + 1 for ch in name]
 
 
 def _resolve_alias(name: str, group):
@@ -448,15 +426,13 @@ def _resolve_alias(name: str, group):
         raise ValueError(f"unknown element alias {name!r}")
     k = ord(name) - ord("a")
     base = group.base
-    if k == 0:
-        return group.reflection(base.identity())
     if k > base.rank:
         raise ValueError(
             f"alias {name!r} needs base coordinate {k}, but the base has rank {base.rank}"
         )
-    coords = [0] * base.rank
-    coords[k - 1] = 1
-    return group.rotation(base.from_coordinates(coords))
+    if k == 0:
+        return group.reflection(base.identity())
+    return group.rotation(base.from_coordinates([int(i == k - 1) for i in range(base.rank)]))
 
 
 # ---------------------------------------------------------------------------
@@ -471,32 +447,18 @@ def parse_group(text: str):
 
 
 def parse_element(text: str, group):
-    p = _Parser(text)
-    lit = p.element_literal()
-    p.expect_end()
-    return lit.resolve(group)
+    return _Parser(text).element(group, alone=True)
 
 
 def parse_elements(text: str, group) -> tuple:
-    p = _Parser(text)
-    out = [p.element_literal().resolve(group)]
-    while p.at_sym(","):
-        p.next()
-        out.append(p.element_literal().resolve(group))
-    p.expect_end()
-    return tuple(out)
+    return _Parser(text).elements(group)
 
 
 def parse_marked(text: str) -> MarkedGroup:
     p = _Parser(text)
     group = p.group()
     p.expect_sym(":", "marked group")
-    gens = [p.element_literal().resolve(group)]
-    while p.at_sym(","):
-        p.next()
-        gens.append(p.element_literal().resolve(group))
-    p.expect_end()
-    return MarkedGroup(group, tuple(gens))
+    return MarkedGroup(group, p.elements(group))
 
 
 def parse_word(text: str, arity: int | None = None) -> Word:
@@ -511,39 +473,6 @@ def parse_sentence(text: str) -> UniversalSentence:
     out = p.sentence()
     p.expect_end()
     return out
-
-
-def parse_spec(text: str):
-    """Parse any input fragment (group, marking, element, word or
-    sentence), dispatching on its leading tokens."""
-    tokens = _tokenize(text)
-    first = tokens[0]
-    if first.kind == "sym" and first.text == "@":
-        return parse_sentence(text)
-    if first.kind == "name" and first.text == "forall":
-        return parse_sentence(text)
-    depth = 0
-    for tok in tokens:
-        if tok.kind != "sym":
-            continue
-        if tok.text == "(":
-            depth += 1
-        elif tok.text == ")":
-            depth -= 1
-        elif tok.text == ":" and depth == 0:
-            return parse_marked(text)
-    if first.kind == "name" and (
-        first.text in ("Z", "Dinf", "Dih") or re.fullmatch(r"D\d+", first.text)
-    ):
-        return parse_group(text)
-    if (first.kind == "sym" and first.text == "(") or (
-        first.kind == "name" and first.text in ("rot", "ref")
-    ):
-        p = _Parser(text)
-        lit = p.element_literal()
-        p.expect_end()
-        return lit
-    return parse_word(text)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from importlib import resources
 from itertools import product
 from typing import Iterable, Sequence
 
-from .abelian import AbelianGroup, _factorize
+from .abelian import AbelianGroup, _factorize, _invariant_factors
 
 ASSOCIATIVITY_BOUND = 256
 AUTOMORPHISM_BOUND = 100
@@ -123,9 +123,6 @@ class FiniteGroupTable:
 def validate_table(
     raw: Sequence[Sequence[int]],
     labels: Sequence[str] | None = None,
-    *,
-    assoc_bound: int = ASSOCIATIVITY_BOUND,
-    check_associativity: bool = True,
 ) -> FiniteGroupTable:
     """Validate a raw multiplication table and wrap it.
 
@@ -159,23 +156,21 @@ def validate_table(
         j = row.index(0)
         if rows[j][i] != 0:
             raise TableError(f"element {i} has no two-sided inverse")
-    if check_associativity:
-        if n > assoc_bound:
-            raise TableError(
-                f"order {n} exceeds the associativity check bound {assoc_bound}; "
-                "pass check_associativity=False to skip"
-            )
-        for a in range(n):
-            for b in range(n):
-                ab = rows[a][b]
-                row_b = rows[b]
-                row_ab = rows[ab]
-                for c in range(n):
-                    if row_ab[c] != rows[a][row_b[c]]:
-                        raise TableError(
-                            f"associativity fails at ({a},{b},{c}): "
-                            f"({a}*{b})*{c} != {a}*({b}*{c})"
-                        )
+    if n > ASSOCIATIVITY_BOUND:
+        raise TableError(
+            f"order {n} exceeds the associativity check bound {ASSOCIATIVITY_BOUND}"
+        )
+    for a in range(n):
+        for b in range(n):
+            ab = rows[a][b]
+            row_b = rows[b]
+            row_ab = rows[ab]
+            for c in range(n):
+                if row_ab[c] != rows[a][row_b[c]]:
+                    raise TableError(
+                        f"associativity fails at ({a},{b},{c}): "
+                        f"({a}*{b})*{c} != {a}*({b}*{c})"
+                    )
     if labels is None:
         labels = tuple(f"g{i}" for i in range(n))
     else:
@@ -198,9 +193,9 @@ def dumps_json(table: FiniteGroupTable) -> str:
     return json.dumps(payload, indent=1) + "\n"
 
 
-def loads_json(text: str, **kwargs) -> FiniteGroupTable:
+def loads_json(text: str) -> FiniteGroupTable:
     payload = json.loads(text)
-    table = validate_table(payload["table"], payload.get("labels"), **kwargs)
+    table = validate_table(payload["table"], payload.get("labels"))
     if payload.get("order") not in (None, table.order):
         raise TableError("declared order does not match the table")
     return table
@@ -212,7 +207,7 @@ def dumps_text(table: FiniteGroupTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_text(text: str, **kwargs) -> FiniteGroupTable:
+def loads_text(text: str) -> FiniteGroupTable:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise TableError("empty table file")
@@ -220,14 +215,14 @@ def loads_text(text: str, **kwargs) -> FiniteGroupTable:
     raw = [[int(x) for x in ln.split()] for ln in lines[1 : n + 1]]
     if len(raw) != n:
         raise TableError(f"expected {n} rows, found {len(raw)}")
-    return validate_table(raw, **kwargs)
+    return validate_table(raw)
 
 
-def load_table(path, **kwargs) -> FiniteGroupTable:
+def load_table(path) -> FiniteGroupTable:
     text = open(path, "r", encoding="utf-8").read()
     if str(path).endswith(".json"):
-        return loads_json(text, **kwargs)
-    return loads_text(text, **kwargs)
+        return loads_json(text)
+    return loads_text(text)
 
 
 def load_fixture(name: str) -> FiniteGroupTable:
@@ -368,15 +363,7 @@ def abelian_invariant_factors_of(
             parts.append(width)
             i += 1
         partitions[p] = parts
-    slots = max(len(v) for v in partitions.values())
-    factors = []
-    for s in range(slots):
-        d = 1
-        for p, parts in partitions.items():
-            if s < len(parts):
-                d *= p ** parts[s]
-        factors.append(d)
-    return tuple(sorted(d for d in factors if d > 1))
+    return _invariant_factors(partitions)
 
 
 # ---------------------------------------------------------------------------

@@ -218,3 +218,38 @@ def test_bad_ball_cap_is_a_json_error(monkeypatch, capsys, value):
     assert code == 1
     assert out == ""
     assert "MGS_BALL_CAP" in json.loads(err)["error"]
+
+
+def test_converge_and_closure_map_take_an_a_dot_dot_b_range(capsys):
+    code, out, _ = run(
+        capsys, "converge", "--family", "Dih(Z/N):a,b", "--limit", "Dinf:a,b", "--range", "3..4"
+    )
+    assert code == 0
+    assert json.loads(out)["radii"] == [2, 3]
+    code, out, _ = run(capsys, "closure-map", "--range", "3..4", "--rmax", "4")
+    assert code == 0
+    assert json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["converge", "--family", "Dih(Z/N):a,b", "--limit", "Dinf:a,b", "--range", "3"], 1),
+        (["closure-map", "--range", "3-8"], 1),
+        (["check", "forall x : x^1000000000000 = 1", "--in", "D6"], 2),
+        (["check", "forall x : ((x^2)^-1000000000000) = 1", "--in", "D6"], 2),
+        (["limit-check", "Z^1000000000000"], 2),
+        (["ball", "D13:a,b", "--radius", "2"], 2),
+        (["dist", "D6:a,b", "Dih(Z^2):a,b,c"], 1),
+    ],
+    ids=["range-3", "range-3-8", "word-exponent", "nested-term-exponent", "free-rank", "D13", "arities"],
+)
+def test_bad_input_is_one_json_error(capsys, argv, exit_code):
+    code, out, err = run(capsys, *argv)
+    assert code == exit_code
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    payload = json.loads(err)
+    assert isinstance(payload, dict) and "error" in payload
+    if argv[0] in ("converge", "closure-map"):
+        assert "a..b" in payload["error"]

@@ -2,17 +2,15 @@ import random
 
 import pytest
 
-from mgs.abelian import AbelianGroup, canonical_invariant_factors
+from mgs.abelian import AbelianGroup
 from mgs.dihedral import GenDihedralGroup
 from mgs.dsl import (
-    ElementLiteral,
     ParseError,
     parse_element,
     parse_elements,
     parse_group,
     parse_marked,
     parse_sentence,
-    parse_spec,
     parse_word,
     print_sentence,
 )
@@ -117,6 +115,53 @@ def test_parse_word_examples():
         parse_word("g3", arity=2)
 
 
+@pytest.mark.parametrize(
+    "powered, written_out",
+    [
+        ("(xy)^2", "xyxy"),
+        ("(xy)^-2", "y^-1 x^-1 y^-1 x^-1"),
+        ("(xy)^0", "1"),
+        ("(xy)", "xy"),
+        ("x(yx^-1)^3", "x y x^-1 y x^-1 y x^-1"),
+        ("((xy)^2 y^-1)^2", "xyx xyx"),
+        ("((xy)^-1 x)^-3", "y y y"),
+        ("(x(y^2)^-1)^2", "x y^-2 x y^-2"),
+        ("(1)^5 x", "x"),
+    ],
+)
+def test_parenthesized_term_powers_expand(powered, written_out):
+    left = parse_sentence(f"forall x y : {powered} = 1").body.left
+    assert left == parse_sentence(f"forall x y : {written_out} = 1").body.left
+
+
+def test_parenthesized_powers_are_term_only():
+    with pytest.raises(ParseError, match="expected a word"):
+        parse_word("(ab)^2")
+
+
+def test_counts_over_the_word_cap_are_parse_errors(monkeypatch):
+    monkeypatch.setenv("MGS_BALL_CAP", "10")
+    assert parse_word("a^10") == free_reduce([1] * 10, 1)
+    with pytest.raises(ParseError) as exc:
+        parse_word("b a^11")
+    assert (exc.value.line, exc.value.column) == (1, 5)
+    with pytest.raises(ParseError):
+        parse_word("a^-11")
+    left = parse_sentence("forall x y : (xy)^5 = 1").body.left
+    assert len(left.letters) == 10
+    empty = parse_sentence("forall x : (x x^-1)^1000000000000 x = 1").body.left
+    assert empty == free_reduce([1], 1)
+    with pytest.raises(ParseError) as exc:
+        parse_sentence("forall x y : (xy)^6 = 1")
+    assert exc.value.column == 19
+    with pytest.raises(ParseError):
+        parse_sentence("forall x : ((x^2)^3)^2 = 1")
+    assert parse_group("Z^10") == AbelianGroup(10)
+    with pytest.raises(ParseError) as exc:
+        parse_group("Z^11")
+    assert exc.value.column == 3
+
+
 def test_parse_sentence_matches_builtin():
     s = parse_sentence("forall x y : (x^2 != 1 & y^2 != 1) -> x*y = y*x")
     assert s == builtin_sentence("P1")
@@ -192,14 +237,3 @@ def test_print_round_trips_random_sentences():
     for _ in range(120):
         s = UniversalSentence(3, random_formula(rng))
         assert parse_sentence(print_sentence(s)) == s
-
-
-def test_parse_spec_dispatch():
-    assert isinstance(parse_spec("D12:a,b"), MarkedGroup)
-    assert isinstance(parse_spec("Z/5"), AbelianGroup)
-    assert isinstance(parse_spec("Dih(Z^2)"), GenDihedralGroup)
-    assert isinstance(parse_spec("@P2"), UniversalSentence)
-    assert isinstance(parse_spec("forall x : x = 1"), UniversalSentence)
-    assert isinstance(parse_spec("g1*g2^-1"), Word)
-    assert isinstance(parse_spec("rot(1,0)"), ElementLiteral)
-    assert parse_spec("Dih(Z^2 x Z/6)") == GenDihedralGroup(canonical_invariant_factors([None, None, 6]))
