@@ -21,9 +21,12 @@ Grammar (EBNF):
 
 Words and terms share the one `product` reader; only a term's factor
 may be parenthesized.  Counts read from text are bounded by the word
-cap (words.active_ball_cap): a power may expand to at most that many
-letters and Z^n needs n at most the cap; a larger count is a ParseError
-at its integer, raised before any list is built.
+cap (words.active_ball_cap): a power may not take its word or term past
+that many letters and Z^n needs n at most the cap; a larger count is a
+ParseError at its integer, raised before any list is built.  Nesting
+(parentheses, "!" and "->") is at most MAX_NESTING levels deep; the
+token that opens one more level is a ParseError.  A Dih(...) base is
+abelian, so Dih atoms do not nest.
 
 Element coordinates list free coordinates first; a ";" separates the
 torsion residues explicitly, otherwise the split is positional.  A lone
@@ -49,11 +52,18 @@ from .topology import MarkedGroup
 from .words import Word, _reduce, active_ball_cap, free_reduce
 
 
+MAX_NESTING = 100
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+
+
+class _TooDeep(ParseError):
+    """Nesting past MAX_NESTING; no reparse of the input can avoid it."""
 
 
 _TOKEN_RE = re.compile(
@@ -100,6 +110,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self._cap: int | None = None
 
     def peek(self, ahead: int = 0) -> _Token:
@@ -124,6 +135,16 @@ class _Parser:
     def at_sym(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind == "sym" and tok.text == text
+
+    def nest(self, production: str):
+        """Open one more level of nesting at the current token; the
+        caller closes it with `self.depth -= 1`."""
+        if self.depth == MAX_NESTING:
+            tok = self.peek()
+            raise _TooDeep(
+                f"{production} nested deeper than {MAX_NESTING} levels", tok.line, tok.column
+            )
+        self.depth += 1
 
     def expect_end(self):
         tok = self.peek()
@@ -159,11 +180,15 @@ class _Parser:
 
     # -- groups -------------------------------------------------------
 
-    def group_atom(self):
+    def group_atom(self, abelian: str | None = None):
+        """One atom; where only an abelian one may stand, `abelian` is the
+        error for a dihedral one, raised before it is read."""
         tok = self.peek()
         if tok.kind != "name":
             self.error("expected a group in group atom")
         name = tok.text
+        if abelian and (name in ("Dih", "Dinf") or re.fullmatch(r"D\d+", name)):
+            self.error(abelian)
         if name == "Z":
             self.next()
             if self.at_sym("^"):
@@ -176,7 +201,7 @@ class _Parser:
         if name == "Dih":
             self.next()
             self.expect_sym("(", "Dih(...)")
-            base = self.group_orders()
+            base = self.group_orders("the base of Dih(...) must be abelian")
             self.expect_sym(")", "Dih(...)")
             return GenDihedralGroup(canonical_invariant_factors(base))
         if name == "Dinf":
@@ -191,9 +216,9 @@ class _Parser:
             return GenDihedralGroup(canonical_invariant_factors([order // 2]))
         self.error(f"unknown group name {name!r}", tok)
 
-    def group_orders(self) -> list:
+    def group_orders(self, abelian: str | None = None) -> list:
         """A product of cyclic orders; dihedral atoms may not be multiplied."""
-        atom = self.group_atom()
+        atom = self.group_atom(abelian)
         if isinstance(atom, GenDihedralGroup):
             if self.peek().kind == "name" and self.peek().text == "x":
                 self.error("dihedral groups cannot be factors of a product")
@@ -201,10 +226,7 @@ class _Parser:
         orders = list(atom)
         while self.peek().kind == "name" and self.peek().text == "x":
             self.next()
-            more = self.group_atom()
-            if isinstance(more, GenDihedralGroup):
-                self.error("dihedral groups cannot be factors of a product")
-            orders.extend(more)
+            orders.extend(self.group_atom("dihedral groups cannot be factors of a product"))
         return orders
 
     def group(self):
@@ -270,21 +292,24 @@ class _Parser:
 
     # -- words and terms ----------------------------------------------
 
-    def power(self, base: Sequence[int], production: str) -> Sequence[int]:
-        """`base` raised to an optional ^sint; the expansion may not be
-        longer than the word cap."""
+    def power(self, base: Sequence[int], production: str, used: int) -> Sequence[int]:
+        """`base` raised to an optional ^sint; the expansion may not take
+        a word or term that already has `used` letters past the word cap."""
         if not self.at_sym("^"):
             return base
         self.next()
-        bound = self.cap // len(base) if base else None
+        bound = max(self.cap - used, 0) // len(base) if base else None
         exp = self.signed_integer(f"{production} exponent", bound)
         if exp < 0:
             base = [-letter for letter in reversed(base)]
         return list(base) * abs(exp)
 
-    def product(self, indices: Callable[[str], list[int]], production: str) -> list[int]:
+    def product(
+        self, indices: Callable[[str], list[int]], production: str, used: int = 0
+    ) -> list[int]:
         """The letters of a word or term, `indices` giving a name's letters:
-        factors with optional '*', a leading 1, and in terms (x y)^n."""
+        factors with optional '*', a leading 1, and in terms (x y)^n.  The
+        enclosing products already hold `used` letters."""
         letters: list[int] = []
         saw = False
         while True:
@@ -295,15 +320,17 @@ class _Parser:
                 self.next()
                 continue
             elif tok.kind == "sym" and tok.text == "(" and production == "term":
+                self.nest("parenthesized term")
                 self.next()
-                inner = _reduce(self.product(indices, production))
+                inner = _reduce(self.product(indices, production, used + len(letters)))
                 self.expect_sym(")", "parenthesized term")
-                letters += self.power(inner, production)
+                self.depth -= 1
+                letters += self.power(inner, production, used + len(letters))
             elif tok.kind == "name":
                 self.next()
                 *head, last = indices(tok.text)
                 letters += head
-                letters += self.power((last,), production)
+                letters += self.power((last,), production, used + len(letters))
             else:
                 break
             saw = True
@@ -352,8 +379,11 @@ class _Parser:
     def formula(self, variables: list[str]) -> Formula:
         left = self.or_formula(variables)
         if self.at_sym("->"):
+            self.nest("implication")
             self.next()
-            return Implies(left, self.formula(variables))
+            right = self.formula(variables)
+            self.depth -= 1
+            return Implies(left, right)
         return left
 
     def or_formula(self, variables: list[str]) -> Formula:
@@ -372,17 +402,25 @@ class _Parser:
 
     def unary_formula(self, variables: list[str]) -> Formula:
         if self.at_sym("!"):
+            self.nest("negation")
             self.next()
-            return Not(self.unary_formula(variables))
+            child = self.unary_formula(variables)
+            self.depth -= 1
+            return Not(child)
         if self.at_sym("("):
-            saved = self.pos
+            saved = self.pos, self.depth
+            self.nest("parenthesized formula")
             self.next()
             try:
                 inner = self.formula(variables)
                 self.expect_sym(")", "parenthesized formula")
+                self.depth -= 1
                 return inner
+            except _TooDeep:
+                raise
             except ParseError:
-                self.pos = saved  # reparse as a parenthesized term inside an atom
+                # reparse as a parenthesized term inside an atom
+                self.pos, self.depth = saved
         return self.atom(variables)
 
     def atom(self, variables: list[str]) -> Atom:

@@ -249,8 +249,11 @@ def relation_ball(marked: MarkedGroup, radius: int, cap: int | None = None) -> R
 def _compare_enumerate(a: MarkedGroup, b: MarkedGroup, r_max: int, cap: int | None):
     ops_a, ops_b = _Flat(a).ops(), _Flat(b).ops()
     id_a, id_b = ops_a[0], ops_b[0]
-    for length, layer in enumerate(walk_ball(a.arity, r_max, ops_a, ops_b, cap), start=1):
-        # a layer is in ball order, so its first mismatch is the least one
+    layers = walk_ball(a.arity, r_max, ops_a, ops_b, cap, distinct=True)
+    for length, layer in enumerate(layers, start=1):
+        # A least separating word is the least word of its value pair (a
+        # shorter word to that pair would separate earlier), so it survives
+        # the pruning, and the layer's first mismatch is the least one.
         for w, ya, yb in layer:
             if (ya == id_a) != (yb == id_b):
                 return length - 1, Word(w, a.arity)

@@ -171,17 +171,27 @@ def trivial_ops(arity: int):
     return 0, operator.mul, dict.fromkeys(letter_order(arity), 0)
 
 
-def walk_ball(arity: int, radius: int, ops_a, ops_b, cap: int | None = None):
+def walk_ball(
+    arity: int, radius: int, ops_a, ops_b, cap: int | None = None, *, distinct: bool = False
+):
     """Reduced words of lengths 1..radius, one layer per length, in ball order.
 
     ops_a and ops_b are flat markings, (identity, mul, letter -> value)
     triples; each layer is a list of (letters, value_a, value_b) records.
-    Every length is checked against the cap before its layer is built.
+    Every length is checked against the cap before its layer is built,
+    with the cap measuring the stratum of all reduced words.
+
+    With `distinct`, a word whose (value_a, value_b) pair an earlier word
+    of the ball already reached is neither yielded nor extended.  This is
+    breadth-first search of the pair marking: each pair keeps its least
+    word, a geodesic, and every prefix of that word is the least word of
+    its own pair, so the surviving words are exactly those least words.
     """
     letters = letter_order(arity)
     _, mul_a, val_a = ops_a
     _, mul_b, val_b = ops_b
     layer = [((), ops_a[0], ops_b[0])]
+    seen = {(ops_a[0], ops_b[0])}
     for length in range(1, radius + 1):
         check_cap(arity, length, cap)
         nxt = []
@@ -190,6 +200,14 @@ def walk_ball(arity: int, radius: int, ops_a, ops_b, cap: int | None = None):
             for ell in letters:
                 if ell != back:
                     nxt.append((w + (ell,), mul_a(xa, val_a[ell]), mul_b(xb, val_b[ell])))
+        if distinct:
+            fresh = []
+            for record in nxt:
+                state = record[1:]
+                if state not in seen:
+                    seen.add(state)
+                    fresh.append(record)
+            nxt = fresh
         layer = nxt
         yield layer
 

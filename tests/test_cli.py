@@ -241,8 +241,18 @@ def test_converge_and_closure_map_take_an_a_dot_dot_b_range(capsys):
         (["limit-check", "Z^1000000000000"], 2),
         (["ball", "D13:a,b", "--radius", "2"], 2),
         (["dist", "D6:a,b", "Dih(Z^2):a,b,c"], 1),
+        (["check", "forall x : " + "(" * 400 + "x" + ")" * 400 + " = 1", "--in", "D6"], 2),
     ],
-    ids=["range-3", "range-3-8", "word-exponent", "nested-term-exponent", "free-rank", "D13", "arities"],
+    ids=[
+        "range-3",
+        "range-3-8",
+        "word-exponent",
+        "nested-term-exponent",
+        "free-rank",
+        "D13",
+        "arities",
+        "deep-nesting",
+    ],
 )
 def test_bad_input_is_one_json_error(capsys, argv, exit_code):
     code, out, err = run(capsys, *argv)

@@ -44,6 +44,13 @@ def test_parse_group_errors():
         parse_group("Dih(Z) x Z")
     with pytest.raises(ParseError):
         parse_group("Z x")
+    for text in ("Dih(Dih(Z))", "Dih(" * 400 + "Z" + ")" * 400, "Dih(D6)"):
+        with pytest.raises(ParseError, match="must be abelian") as exc:
+            parse_group(text)
+        assert exc.value.column == 5
+    with pytest.raises(ParseError, match="cannot be factors") as exc:
+        parse_group("Z x Dih(Z x Dih(Z))")
+    assert exc.value.column == 5
 
 
 def test_parse_error_position():
@@ -160,6 +167,49 @@ def test_counts_over_the_word_cap_are_parse_errors(monkeypatch):
     with pytest.raises(ParseError) as exc:
         parse_group("Z^11")
     assert exc.value.column == 3
+
+
+def test_running_length_over_the_word_cap_is_a_parse_error(monkeypatch):
+    monkeypatch.setenv("MGS_BALL_CAP", "10")
+    assert len(parse_word("a^5 b^5")) == 10
+    assert len(parse_word("b a^9")) == 10
+    with pytest.raises(ParseError) as exc:
+        parse_word("a^10 a^10 a^10")
+    assert exc.value.column == 8
+    with pytest.raises(ParseError) as exc:
+        parse_word("a^5 b^6")
+    assert exc.value.column == 7
+    assert len(parse_sentence("forall x y : x^4 (xy)^3 = 1").body.left) == 10
+    with pytest.raises(ParseError) as exc:
+        parse_sentence("forall x y : x^5 (xy)^3 = 1")
+    assert exc.value.column == 23
+    # the letters before a parenthesized term count inside it too
+    with pytest.raises(ParseError) as exc:
+        parse_sentence("forall x : x^5 (x^3 x^3) = 1")
+    assert exc.value.column == 23
+
+
+def nested(depth, open_, inner, close):
+    return open_ * depth + inner + close * depth
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        (lambda d: "forall x : " + nested(d, "(", "x", ")") + " = 1", 112),
+        (lambda d: "forall x : x = " + nested(d, "(", "x", ")"), 116),
+        (lambda d: "forall x : " + nested(d, "(", "x = 1", ")"), 112),
+        (lambda d: "forall x : " + nested(d, "!", "x = 1", ""), 112),
+        (lambda d: "forall x : " + " -> ".join(["x = 1"] * (d + 1)), 918),
+    ],
+    ids=["term-in-formula", "term", "formula", "negation", "implication"],
+)
+def test_nesting_deeper_than_the_bound_is_a_parse_error(text, column):
+    parse_sentence(text(100))
+    for depth in (101, 400):
+        with pytest.raises(ParseError, match="nested deeper than 100 levels") as exc:
+            parse_sentence(text(depth))
+        assert (exc.value.line, exc.value.column) == (1, column)
 
 
 def test_parse_sentence_matches_builtin():

@@ -3,17 +3,29 @@
 The oracle lists reduced words with itertools.product, sorts them by
 Word order and evaluates each one with MarkedGroup.is_relation, so it
 shares no code with the walker behind relation_ball, the enumeration
-comparison route and enumerate_ball.
+comparison route and enumerate_ball.  The enumeration route keeps one
+word per pair of values; it is also checked against the walk that
+keeps every word.
 """
 
+import functools
+import operator
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgs.dsl import parse_marked
 from mgs.tables import load_fixture
-from mgs.topology import MarkedGroup, agreement_radius, relation_ball, separating_word
-from mgs.words import BallCapExceeded, Word, enumerate_ball
+from mgs.topology import (
+    MarkedGroup,
+    _Flat,
+    agreement_radius,
+    relation_ball,
+    separating_word,
+)
+from mgs.words import BallCapExceeded, Word, enumerate_ball, trivial_ops, walk_ball
 
 
 def reduced_words(arity, length):
@@ -38,6 +50,16 @@ def oracle_compare(a, b, r_max):
         for w in reduced_words(a.arity, length):
             if a.is_relation(w) != b.is_relation(w):
                 return length - 1, w
+    return r_max, None
+
+
+def unpruned_compare(a, b, r_max):
+    """The first mismatch of the walk that keeps every reduced word."""
+    ops_a, ops_b = _Flat(a).ops(), _Flat(b).ops()
+    for length, layer in enumerate(walk_ball(a.arity, r_max, ops_a, ops_b), start=1):
+        for w, ya, yb in layer:
+            if (ya == ops_a[0]) != (yb == ops_b[0]):
+                return length - 1, Word(w, a.arity)
     return r_max, None
 
 
@@ -136,3 +158,129 @@ def test_cap_refuses_a_ball_up_front_but_not_an_early_witness():
 def test_bad_cap_values_are_refused(cap):
     with pytest.raises(ValueError, match="positive integer"):
         enumerate_ball(2, 2, cap=cap)
+
+
+def test_enumeration_route_keeps_one_word_per_pair_of_values():
+    table = load_fixture("D24")
+    marked = MarkedGroup(table, dihedral_pair(table, 12))
+    dinf = parse_marked("Dinf:a,b")
+    assert agreement_radius(marked, dinf, 12, method="enumerate") == 11
+    assert str(separating_word(marked, dinf, 12, method="enumerate")) == "g2^12"
+    # a finite marking against the trivial group has one state per element
+    ops = _Flat(marked).ops()
+    layers = walk_ball(2, 10, ops, trivial_ops(2), distinct=True)
+    assert sum(map(len, layers)) == table.order - 1
+
+
+# ---------------------------------------------------------------------------
+# The pruned enumeration route on random markings
+
+TABLES = ("D6", "D8", "D10", "D12", "D14", "D16", "D18", "D20", "D22", "D24", "Q8", "A4")
+
+
+@functools.lru_cache(maxsize=None)
+def seed_marking(name, arity):
+    """A generating tuple of a fixture: (reflection, rotation) of a D2n,
+    padded with the rotation to arity 3 (as Dinf:a,b,b is); the
+    reflection and the two rotation axes of DihZ4xZ4; the first
+    generating tuple in index order otherwise."""
+    table = load_fixture(name)
+    if name == "DihZ4xZ4":
+        index = {label: i for i, label in enumerate(table.labels)}
+        return table, tuple(index[x] for x in ("ref(0,0)", "rot(1,0)", "rot(0,1)"))
+    if name.startswith("D"):
+        pair = dihedral_pair(table, table.order // 2)
+        return table, pair + pair[1:] * (arity - 2)
+    tuples = product(range(table.order), repeat=arity)
+    return table, next(t for t in tuples if len(table.closure(t)) == table.order)
+
+
+def partner_texts(arity, k):
+    """Dihedral and abelian markings (with torsion) of the given arity."""
+    if arity == 2:
+        return (
+            "Dinf:a,b",
+            f"Dih(Z/{k}):a,b",
+            "Dinf:a,ref(1)",
+            f"Z x Z/{k}:(1,0),(0,1)",
+            f"Z/2 x Z/{2 * k}:(1,0),(0,1)",
+        )
+    return (
+        "Dinf:a,b,b",
+        f"Dih(Z/{k}):a,b,b",
+        "Dih(Z^2):a,b,c",
+        f"Dih(Z x Z/{k}):a,b,c",
+        f"Dih(Z/{k} x Z/{k}):a,b,c",
+        f"Z^2 x Z/{k}:(1,0,0),(0,1,0),(0,0,1)",
+    )
+
+
+moves = st.lists(
+    st.tuples(
+        st.sampled_from(("swap", "invert", "left", "right")),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.booleans(),
+    ),
+    max_size=5,
+)
+
+
+def mix(tup, steps, mul, inv):
+    """`tup` under elementary moves, which keep it generating."""
+    out = list(tup)
+    for kind, i, j, invert in steps:
+        i, j = i % len(out), j % len(out)
+        if kind == "swap":
+            out[i], out[j] = out[j], out[i]
+        elif kind == "invert":
+            out[i] = inv(out[i])
+        elif i != j:
+            y = inv(out[j]) if invert else out[j]
+            out[i] = mul(out[i], y) if kind == "right" else mul(y, out[i])
+    return tuple(out)
+
+
+def mixed_table(name, arity, steps):
+    table, gens = seed_marking(name, arity)
+    return MarkedGroup(table, mix(gens, steps, lambda x, y: table.rows[x][y], table.inv))
+
+
+def mixed_text(text, steps):
+    marked = parse_marked(text)
+    if hasattr(marked.generators[0], "inverse"):
+        mul, inv = operator.mul, lambda x: x.inverse()
+    else:
+        mul, inv = operator.add, operator.neg
+    return MarkedGroup(marked.group, mix(marked.generators, steps, mul, inv))
+
+
+@st.composite
+def comparisons(draw):
+    """(a, b, r_max): a random generating tuple of a fixture table against
+    another table, a dihedral or an abelian marking.  Half the time both
+    sides take the same moves from matching seeds (a D2n's (reflection,
+    rotation) and Dinf:a,b, say), so they agree on larger balls."""
+    arity = draw(st.integers(2, 3))
+    names = TABLES + (("DihZ4xZ4",) if arity == 3 else ())
+    steps = draw(moves)
+    a = mixed_table(draw(st.sampled_from(names)), arity, steps)
+    other = steps if draw(st.booleans()) else draw(moves)
+    if draw(st.booleans()):
+        b = mixed_table(draw(st.sampled_from(names)), arity, other)
+    else:
+        k = draw(st.integers(2, 12))
+        b = mixed_text(draw(st.sampled_from(partner_texts(arity, k))), other)
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b, draw(st.sampled_from((5, 4, 3, 2, 1)))
+
+
+@given(comparisons())
+@settings(max_examples=150, deadline=None)
+def test_pruned_enumeration_matches_the_full_walk_and_the_oracle(case):
+    a, b, r_max = case
+    expected = oracle_compare(a, b, r_max)
+    assert unpruned_compare(a, b, r_max) == expected
+    assert agreement_radius(a, b, r_max, method="enumerate") == expected[0]
+    assert separating_word(a, b, r_max, method="enumerate") == expected[1]
