@@ -18,6 +18,8 @@ from .abelian import AbelianGroup, _identity_matrix, determinant, matmul, matvec
 from .dihedral import GenDihedralElement, GenDihedralGroup, is_generating_dih
 from .tables import FiniteGroupTable, automorphism_group
 
+ENUMERATION_BUDGET = 10_000_000
+
 
 def free_by_flip(arity: int) -> GenDihedralGroup:
     """The group Z^(arity-1) x| Z/2 whose markings of length `arity`
@@ -260,9 +262,7 @@ class MarkingClass:
         }
 
 
-def enumerate_markings(
-    table: FiniteGroupTable, arity: int, budget: int = 10_000_000
-) -> list[MarkingClass]:
+def enumerate_markings(table: FiniteGroupTable, arity: int) -> list[MarkingClass]:
     """Orbit representatives of generating tuples under all automorphisms.
 
     Representatives are the lexicographically least tuples of their
@@ -272,7 +272,7 @@ def enumerate_markings(
     if arity < 1:
         raise ValueError(f"arity must be at least 1, got {arity}")
     n = table.order
-    if n**arity > budget:
+    if n**arity > ENUMERATION_BUDGET:
         raise ValueError(f"{n}^{arity} tuples exceed the enumeration budget")
     autos = automorphism_group(table)
     classes = []

@@ -32,10 +32,15 @@ def _as_table(arg: str) -> tables.FiniteGroupTable:
 
 
 def _range(text: str) -> range:
+    """a..b, both ends included; like every count in the text, bounded by the word cap."""
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
     if m is None:
         raise ValueError(f"a range is a..b with integer ends, got {text!r}")
-    return range(int(m.group(1)), int(m.group(2)) + 1)
+    a, b = int(m.group(1)), int(m.group(2))
+    cap = active_ball_cap()
+    if b - a + 1 > cap:
+        raise ValueError(f"a range a..b holds at most {cap} integers (the word cap), got {text!r}")
+    return range(a, b + 1)
 
 
 def cmd_ball(args) -> int:
@@ -50,7 +55,7 @@ def cmd_ball(args) -> int:
 def cmd_dist(args) -> int:
     a = dsl.parse_marked(args.a)
     b = dsl.parse_marked(args.b)
-    radius, witness = topology._compare(a, b, args.rmax, args.method, None)
+    radius, witness = topology._compare(a, b, args.rmax, args.method)
     _print(
         {
             "a": str(a),
@@ -232,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--rmax", type=int, default=8)
-    p.add_argument("--method", choices=("auto", "enumerate", "profile"), default="auto")
+    p.add_argument("--method", choices=("auto", "enumerate"), default="auto")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("converge", help="certify a family against a limit")

@@ -101,7 +101,7 @@ def emit_closure_map(n_range=range(3, 9), r_max: int = 8) -> tuple[str, str]:
         limit = by_id[f"{family}inf"]
         for n in n_range:
             member = by_id[f"{family}{2 * n}"]
-            radius, witness = _compare(member.marked, limit.marked, r_max, "auto", None)
+            radius, witness = _compare(member.marked, limit.marked, r_max, "auto")
             edges.append(
                 {
                     "source": member.node_id,
@@ -123,7 +123,7 @@ def emit_closure_map(n_range=range(3, 9), r_max: int = 8) -> tuple[str, str]:
                 entry["certificate"] = "involution-pattern"
                 entry["patterns"] = [ia, ib]
             else:
-                radius, witness = _compare(a.marked, b.marked, word_window, "auto", None)
+                radius, witness = _compare(a.marked, b.marked, word_window, "auto")
                 if witness is None:
                     raise AssertionError(
                         f"nodes {a.node_id} and {b.node_id} are not distinct "

@@ -16,6 +16,8 @@ from typing import Iterator, Sequence
 from .abelian import AbelianElement, AbelianGroup, generates_full
 from .words import Word
 
+MATERIALIZE_BOUND = 512
+
 
 @dataclass(frozen=True)
 class GenDihedralGroup:
@@ -138,30 +140,28 @@ def is_generating_dih(group: GenDihedralGroup, gens: Sequence[GenDihedralElement
     return generates_full(group.base, base_gens)
 
 
-def materialize_table(group, cap: int = 512):
+def materialize_table(group):
     """Cayley table of a finite abelian or generalized dihedral group.
 
     Rotations come first, then reflections, each block in lexicographic
     coordinate order, so the identity lands at index 0 and labels are
-    stable across runs.
+    stable across runs.  The order is checked against MATERIALIZE_BOUND
+    before any element is listed.
     """
     from .tables import FiniteGroupTable
 
     if isinstance(group, AbelianGroup):
-        if not group.is_finite():
-            raise ValueError("cannot materialize an infinite group")
-        elems = list(group.elements())
         op = lambda x, y: x + y
     elif isinstance(group, GenDihedralGroup):
-        if not group.is_finite():
-            raise ValueError("cannot materialize an infinite group")
-        elems = list(group.elements())
         op = lambda x, y: x * y
     else:
         raise TypeError(f"cannot materialize {type(group).__name__}")
-    n = len(elems)
-    if n > cap:
-        raise ValueError(f"group order {n} exceeds the cap of {cap}")
+    if not group.is_finite():
+        raise ValueError("cannot materialize an infinite group")
+    n = group.order()
+    if n > MATERIALIZE_BOUND:
+        raise ValueError(f"group order {n} exceeds the cap of {MATERIALIZE_BOUND}")
+    elems = list(group.elements())
     index = {x: i for i, x in enumerate(elems)}
     rows = tuple(
         tuple(index[op(x, y)] for y in elems) for x in elems

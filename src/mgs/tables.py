@@ -279,9 +279,7 @@ def _expressions(table: FiniteGroupTable, gens: Sequence[int]) -> list[tuple[int
     return expr  # type: ignore[return-value]
 
 
-def automorphism_group(
-    table: FiniteGroupTable, bound: int = AUTOMORPHISM_BOUND
-) -> list[tuple[int, ...]]:
+def automorphism_group(table: FiniteGroupTable) -> list[tuple[int, ...]]:
     """All automorphisms as permutation tuples, sorted.
 
     Candidate images for a generating sequence are filtered by element
@@ -289,8 +287,8 @@ def automorphism_group(
     then verified to be bijective homomorphisms.
     """
     n = table.order
-    if n > bound:
-        raise ValueError(f"order {n} exceeds the automorphism search bound {bound}")
+    if n > AUTOMORPHISM_BOUND:
+        raise ValueError(f"order {n} exceeds the automorphism search bound {AUTOMORPHISM_BOUND}")
     gens = _greedy_generating_sequence(table)
     expr = _expressions(table, gens)
     orders = [table.element_order(i) for i in range(n)]

@@ -228,16 +228,16 @@ class _Flat:
         return [(tuple(v[k] for v in parts), m) for k, m in enumerate(self.moduli)]
 
 
-def relation_ball(marked: MarkedGroup, radius: int, cap: int | None = None) -> RelationBall:
+def relation_ball(marked: MarkedGroup, radius: int) -> RelationBall:
     """All relations of length <= radius, by breadth-first evaluation."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     m = marked.arity
-    check_cap(m, radius, cap)
+    check_cap(m, radius)
     ops = _Flat(marked).ops()
     identity = ops[0]
     relations = [Word((), m)]
-    for layer in walk_ball(m, radius, ops, trivial_ops(m), cap):
+    for layer in walk_ball(m, radius, ops, trivial_ops(m)):
         relations.extend(Word(w, m) for w, v, _ in layer if v == identity)
     return RelationBall(m, radius, tuple(relations))
 
@@ -246,10 +246,10 @@ def relation_ball(marked: MarkedGroup, radius: int, cap: int | None = None) -> R
 # Ball comparison: enumeration route
 
 
-def _compare_enumerate(a: MarkedGroup, b: MarkedGroup, r_max: int, cap: int | None):
+def _compare_enumerate(a: MarkedGroup, b: MarkedGroup, r_max: int):
     ops_a, ops_b = _Flat(a).ops(), _Flat(b).ops()
     id_a, id_b = ops_a[0], ops_b[0]
-    layers = walk_ball(a.arity, r_max, ops_a, ops_b, cap, distinct=True)
+    layers = walk_ball(a.arity, r_max, ops_a, ops_b, distinct=True)
     for length, layer in enumerate(layers, start=1):
         # A least separating word is the least word of its value pair (a
         # shorter word to that pair would separate earlier), so it survives
@@ -358,61 +358,43 @@ def _compare_profiles(a: MarkedGroup, b: MarkedGroup, r_max: int):
     return r_max, None
 
 
-def _compare(a: MarkedGroup, b: MarkedGroup, r_max: int, method: str, cap: int | None):
+def _compare(a: MarkedGroup, b: MarkedGroup, r_max: int, method: str):
     if a.arity != b.arity:
         raise ValueError("markings have different arities")
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
-    if method == "auto":
-        method = "profile" if profile_comparable(a, b) else "enumerate"
-    if method == "profile":
-        if not profile_comparable(a, b):
-            raise ValueError(
-                "profile comparison needs abelian or matching dihedral markings"
-            )
+    if method not in ("auto", "enumerate"):
+        raise ValueError(f"unknown comparison method {method!r}")
+    if method == "auto" and profile_comparable(a, b):
         return _compare_profiles(a, b, r_max)
-    if method == "enumerate":
-        return _compare_enumerate(a, b, r_max, cap)
-    raise ValueError(f"unknown comparison method {method!r}")
+    return _compare_enumerate(a, b, r_max)
 
 
 def agreement_radius(
-    a: MarkedGroup,
-    b: MarkedGroup,
-    r_max: int = 8,
-    method: str = "auto",
-    cap: int | None = None,
+    a: MarkedGroup, b: MarkedGroup, r_max: int = 8, method: str = "auto"
 ) -> int:
     """Largest radius <= r_max at which the relation balls agree.
 
     A return value equal to r_max means the balls agree on the whole
     tested window (the true radius is at least r_max).
     """
-    radius, _ = _compare(a, b, r_max, method, cap)
+    radius, _ = _compare(a, b, r_max, method)
     return radius
 
 
 def separating_word(
-    a: MarkedGroup,
-    b: MarkedGroup,
-    r_max: int = 8,
-    method: str = "auto",
-    cap: int | None = None,
+    a: MarkedGroup, b: MarkedGroup, r_max: int = 8, method: str = "auto"
 ) -> Word | None:
     """A shortest word that is a relation of exactly one marking."""
-    _, witness = _compare(a, b, r_max, method, cap)
+    _, witness = _compare(a, b, r_max, method)
     return witness
 
 
 def marked_distance(
-    a: MarkedGroup,
-    b: MarkedGroup,
-    r_max: int = 8,
-    method: str = "auto",
-    cap: int | None = None,
+    a: MarkedGroup, b: MarkedGroup, r_max: int = 8, method: str = "auto"
 ) -> Fraction:
     """2^-(R+1) with R the agreement radius; 0 if indistinguishable."""
-    radius, witness = _compare(a, b, r_max, method, cap)
+    radius, witness = _compare(a, b, r_max, method)
     if witness is None:
         return Fraction(0)
     return Fraction(1, 2 ** (radius + 1))
@@ -451,8 +433,6 @@ def check_convergence(
     indices: Sequence[int],
     schedule: Sequence[int] | None = None,
     r_max: int | None = None,
-    method: str = "auto",
-    cap: int | None = None,
 ) -> ConvergenceReport:
     """Certify a family against a limit through a radius schedule.
 
@@ -480,7 +460,7 @@ def check_convergence(
     for member in members:
         if member.arity != limit.arity:
             raise ValueError("family and limit must share one arity")
-    results = [_compare(member, limit, r_max, method, cap) for member in members]
+    results = [_compare(member, limit, r_max, "auto") for member in members]
     radii = [radius for radius, _ in results]
     for pos in range(len(indices)):
         bad = radii[pos] < schedule[pos] or (pos > 0 and radii[pos] < radii[pos - 1])
@@ -724,13 +704,7 @@ def _rotation_word_blocks(marked: MarkedGroup):
     return blocks
 
 
-def accumulation_witness(
-    marked: MarkedGroup,
-    count: int,
-    r_max: int | None = None,
-    method: str = "auto",
-    cap: int | None = None,
-) -> AccumulationWitness:
+def accumulation_witness(marked: MarkedGroup, count: int) -> AccumulationWitness:
     """A verified family of distinct marked groups accumulating on `marked`.
 
     One infinite cyclic factor is collapsed modulo increasing odd primes
@@ -797,17 +771,7 @@ def accumulation_witness(
                 raise AssertionError("internal error: bad separating word")
             separators[(i, j)] = word
 
-    if r_max is None:
-        r_max = max(chosen) - 1
-    report = check_convergence(
-        members,
-        marked,
-        chosen,
-        schedule=tuple(range(1, len(chosen) + 1)),
-        r_max=r_max,
-        method=method,
-        cap=cap,
-    )
+    report = check_convergence(members, marked, chosen, r_max=max(chosen) - 1)
     return AccumulationWitness(
         marked, tuple(chosen), tuple(members), separators, report
     )

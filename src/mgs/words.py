@@ -25,27 +25,29 @@ class BallCapExceeded(ValueError):
     """A requested enumeration would exceed the configured word cap."""
 
 
-def active_ball_cap(cap: int | None = None) -> int:
-    """The word cap: `cap` if given, else MGS_BALL_CAP, else the default.
+def active_ball_cap() -> int:
+    """The word cap: MGS_BALL_CAP, a positive integer, if set, else the default."""
+    raw = os.environ.get(BALL_CAP_ENV)
+    if not raw:
+        return DEFAULT_BALL_CAP
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{BALL_CAP_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
-    Either way it must be a positive integer.
+
+def check_cap(arity: int, length: int) -> None:
+    """Refuse a layer of reduced words of the given length above the cap.
+
+    The stratum 2m(2m-1)^(L-1) is multiplied out only until it passes
+    the cap, so a huge length never builds a huge integer.
     """
-    if cap is None:
-        raw = os.environ.get(BALL_CAP_ENV)
-        if not raw:
-            return DEFAULT_BALL_CAP
-        if not raw.strip().isdecimal() or int(raw) < 1:
-            raise ValueError(f"{BALL_CAP_ENV} must be a positive integer, got {raw!r}")
-        return int(raw)
-    if not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"the word cap must be a positive integer, got {cap!r}")
-    return cap
-
-
-def check_cap(arity: int, length: int, cap: int | None = None) -> None:
-    """Refuse a layer of reduced words of the given length above the cap."""
-    cap = active_ball_cap(cap)
-    if stratum_size(arity, length) > cap:
+    cap = active_ball_cap()
+    size = stratum_size(arity, min(length, 1))
+    for _ in range(length - 1 if arity > 1 else 0):
+        if size > cap:
+            break
+        size *= 2 * arity - 1
+    if size > cap:
         raise BallCapExceeded(
             f"radius-{length} stratum over {arity} generators exceeds the cap of {cap}"
         )
@@ -171,9 +173,7 @@ def trivial_ops(arity: int):
     return 0, operator.mul, dict.fromkeys(letter_order(arity), 0)
 
 
-def walk_ball(
-    arity: int, radius: int, ops_a, ops_b, cap: int | None = None, *, distinct: bool = False
-):
+def walk_ball(arity: int, radius: int, ops_a, ops_b, *, distinct: bool = False):
     """Reduced words of lengths 1..radius, one layer per length, in ball order.
 
     ops_a and ops_b are flat markings, (identity, mul, letter -> value)
@@ -193,7 +193,7 @@ def walk_ball(
     layer = [((), ops_a[0], ops_b[0])]
     seen = {(ops_a[0], ops_b[0])}
     for length in range(1, radius + 1):
-        check_cap(arity, length, cap)
+        check_cap(arity, length)
         nxt = []
         for w, xa, xb in layer:
             back = -w[-1] if w else 0
@@ -212,16 +212,16 @@ def walk_ball(
         yield layer
 
 
-def enumerate_ball(arity: int, radius: int, cap: int | None = None) -> list[Word]:
+def enumerate_ball(arity: int, radius: int) -> list[Word]:
     """All reduced words of length <= radius, in ball order."""
     if arity < 1:
         raise ValueError("arity must be at least 1")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    check_cap(arity, radius, cap)
+    check_cap(arity, radius)
     trivial = trivial_ops(arity)
     words = [Word((), arity)]
-    for layer in walk_ball(arity, radius, trivial, trivial, cap):
+    for layer in walk_ball(arity, radius, trivial, trivial):
         words.extend(Word(w, arity) for w, _, _ in layer)
     return words
 

@@ -30,12 +30,16 @@ def test_dist(capsys):
 
 
 def test_dist_methods(capsys):
-    for method in ("enumerate", "profile", "auto"):
+    for method in ("enumerate", "auto"):
         code, out, _ = run(
             capsys, "dist", "Z/5:(1)", "Z:(1)", "--rmax", "8", "--method", method
         )
         assert code == 0
         assert json.loads(out)["agreement_radius"] == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["dist", "Z/5:(1)", "Z:(1)", "--method", "profile"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_converge(capsys):
@@ -242,6 +246,16 @@ def test_converge_and_closure_map_take_an_a_dot_dot_b_range(capsys):
         (["ball", "D13:a,b", "--radius", "2"], 2),
         (["dist", "D6:a,b", "Dih(Z^2):a,b,c"], 1),
         (["check", "forall x : " + "(" * 400 + "x" + ")" * 400 + " = 1", "--in", "D6"], 2),
+        (["check", "@P1", "--in", "Dih(Z/1000000000000)"], 1),
+        (["recognize", "Dih(Z/1000000000000)"], 1),
+        (["classify", "Dih(Z/1000000000000)"], 1),
+        (["ball", "D6:a,b", "--radius", "1000000000"], 1),
+        (
+            ["converge", "--family", "Dih(Z/N):a,b", "--limit", "Dinf:a,b"]
+            + ["--range", "3..1000000000000"],
+            1,
+        ),
+        (["closure-map", "--range", "3..1000000000000"], 1),
     ],
     ids=[
         "range-3",
@@ -252,6 +266,12 @@ def test_converge_and_closure_map_take_an_a_dot_dot_b_range(capsys):
         "D13",
         "arities",
         "deep-nesting",
+        "huge-table-check",
+        "huge-table-recognize",
+        "huge-table-classify",
+        "huge-radius",
+        "huge-range-converge",
+        "huge-range-closure-map",
     ],
 )
 def test_bad_input_is_one_json_error(capsys, argv, exit_code):

@@ -133,7 +133,18 @@ def test_materialize_errors():
     with pytest.raises(ValueError):
         materialize_table(DINF)
     with pytest.raises(ValueError):
-        materialize_table(GenDihedralGroup(AbelianGroup(0, (100,))), cap=50)
+        materialize_table(GenDihedralGroup(AbelianGroup(0, (300,))))
+
+
+def test_materialize_refuses_by_order_before_listing_elements(monkeypatch):
+    def unlisted(self):
+        raise AssertionError("elements() listed before the order was checked")
+
+    monkeypatch.setattr(GenDihedralGroup, "elements", unlisted)
+    monkeypatch.setattr(AbelianGroup, "elements", unlisted)
+    for group in (GenDihedralGroup(AbelianGroup(0, (300,))), AbelianGroup(0, (600,))):
+        with pytest.raises(ValueError, match=r"^group order 600 exceeds the cap of 512$"):
+            materialize_table(group)
 
 
 def test_abelian_iff_exponent_two():

@@ -96,9 +96,10 @@ def test_relation_ball_table_marking():
     assert relation_ball(m, 4).relations == relation_ball(dihedral_marked(6), 4).relations
 
 
-def test_relation_ball_cap():
+def test_relation_ball_cap(monkeypatch):
+    monkeypatch.setenv("MGS_BALL_CAP", "100")
     with pytest.raises(BallCapExceeded):
-        relation_ball(dihedral_marked(3), 20, cap=100)
+        relation_ball(dihedral_marked(3), 20)
 
 
 def test_agreement_examples():
@@ -126,10 +127,9 @@ def test_agreement_methods_agree():
             member = build(n)
             for r_max in (3, 6, 9):
                 enum = agreement_radius(member, limit, r_max, method="enumerate")
-                prof = agreement_radius(member, limit, r_max, method="profile")
+                prof, w_prof = _compare_profiles(member, limit, r_max)
                 assert enum == prof
                 w_enum = separating_word(member, limit, r_max, method="enumerate")
-                w_prof = separating_word(member, limit, r_max, method="profile")
                 assert (w_enum is None) == (w_prof is None)
                 if w_enum is not None:
                     assert len(w_enum) == len(w_prof)
@@ -160,14 +160,14 @@ def test_agreement_methods_agree_on_abelian():
     for k in (4, 5, 9):
         for r_max in (3, 6, 10):
             e = agreement_radius(cyclic_marked(k), cyclic_marked(None), r_max, method="enumerate")
-            p = agreement_radius(cyclic_marked(k), cyclic_marked(None), r_max, method="profile")
+            p, _ = _compare_profiles(cyclic_marked(k), cyclic_marked(None), r_max)
             assert e == p
     z2 = AbelianGroup(2)
     m1 = MarkedGroup(z2, (z2.element((1, 0)), z2.element((0, 1))))
     m2 = MarkedGroup(z2, (z2.element((1, 0)), z2.element((1, 1))))
     for r_max in (2, 4, 6):
-        assert agreement_radius(m1, m2, r_max, method="enumerate") == agreement_radius(
-            m1, m2, r_max, method="profile"
+        assert agreement_radius(m1, m2, r_max, method="enumerate") == (
+            _compare_profiles(m1, m2, r_max)[0]
         )
 
 
@@ -176,9 +176,15 @@ def test_agreement_dihedral_family_radii():
         assert agreement_radius(dihedral_marked(n), dihedral_marked(None), 10) == n - 1
 
 
-def test_profile_method_rejects_mismatched_patterns():
-    with pytest.raises(ValueError):
-        agreement_radius(dihedral_marked(3), _rotation_first_marking(3), 4, method="profile")
+def test_profile_is_not_a_comparison_method():
+    same = (dihedral_marked(3), dihedral_marked(None))
+    mismatched = (dihedral_marked(3), _rotation_first_marking(3))
+    for a, b in (same, mismatched):
+        for compare in (agreement_radius, separating_word, marked_distance):
+            with pytest.raises(ValueError, match=r"^unknown comparison method 'profile'$"):
+                compare(a, b, 4, method="profile")
+    # mismatched patterns take the enumeration route under auto
+    assert agreement_radius(*mismatched, 4) == agreement_radius(*mismatched, 4, method="enumerate")
 
 
 def test_ultrametric_inequality():

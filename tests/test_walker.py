@@ -141,23 +141,25 @@ def test_enumerate_ball_matches_oracle():
         assert enumerate_ball(arity, radius) == expected
 
 
-def test_cap_refuses_a_ball_up_front_but_not_an_early_witness():
+def test_cap_refuses_a_ball_up_front_but_not_an_early_witness(monkeypatch):
+    monkeypatch.setenv("MGS_BALL_CAP", "100")
     table = load_fixture("D6")
     marked = MarkedGroup(table, dihedral_pair(table, 3))
     dinf = parse_marked("Dinf:a,b")
     # lengths 1..3 hold 4, 12 and 36 words; the witness comes before length 5's 324
-    assert agreement_radius(marked, dinf, 20, cap=100) == 2
-    assert str(separating_word(marked, dinf, 20, cap=100)) == "g2^3"
+    assert agreement_radius(marked, dinf, 20) == 2
+    assert str(separating_word(marked, dinf, 20)) == "g2^3"
     with pytest.raises(BallCapExceeded):
-        relation_ball(marked, 5, cap=100)
+        relation_ball(marked, 5)
     with pytest.raises(BallCapExceeded):
-        agreement_radius(marked, marked, 8, cap=100)
+        agreement_radius(marked, marked, 8)
 
 
-@pytest.mark.parametrize("cap", [0, -1, "100"])
-def test_bad_cap_values_are_refused(cap):
+@pytest.mark.parametrize("cap", ["0", "-1", "1e2"])
+def test_bad_cap_values_are_refused(monkeypatch, cap):
+    monkeypatch.setenv("MGS_BALL_CAP", cap)
     with pytest.raises(ValueError, match="positive integer"):
-        enumerate_ball(2, 2, cap=cap)
+        enumerate_ball(2, 2)
 
 
 def test_enumeration_route_keeps_one_word_per_pair_of_values():

@@ -9,9 +9,11 @@ from mgs.words import (
     NielsenMove,
     Word,
     ball_size,
+    check_cap,
     enumerate_ball,
     free_reduce,
     nielsen_apply,
+    stratum_size,
 )
 
 from helpers import closure_of_elements
@@ -86,11 +88,45 @@ def test_ball_nesting_and_inversion_closure():
     assert Word((), 2) in small
 
 
-def test_ball_cap():
+def test_ball_cap(monkeypatch):
+    monkeypatch.setenv("MGS_BALL_CAP", "1000")
     with pytest.raises(BallCapExceeded):
-        enumerate_ball(3, 12, cap=1000)
+        enumerate_ball(3, 12)
     # the cap measures the final stratum, per contract
-    enumerate_ball(1, 400, cap=10)
+    monkeypatch.setenv("MGS_BALL_CAP", "10")
+    enumerate_ball(1, 400)
+
+
+def test_check_cap_refuses_a_huge_length_without_building_the_stratum(monkeypatch):
+    monkeypatch.delenv("MGS_BALL_CAP", raising=False)
+    message = r"^radius-1000000000 stratum over 2 generators exceeds the cap of 2000000$"
+    with pytest.raises(BallCapExceeded, match=message):
+        check_cap(2, 10**9)
+    check_cap(1, 10**9)  # every stratum over one generator holds 2 words
+
+
+def test_check_cap_boundary(monkeypatch):
+    # arity 2 at length 3: 4 * 3 * 3 = 36 words
+    monkeypatch.setenv("MGS_BALL_CAP", "36")
+    check_cap(2, 3)
+    monkeypatch.setenv("MGS_BALL_CAP", "35")
+    message = r"^radius-3 stratum over 2 generators exceeds the cap of 35$"
+    with pytest.raises(BallCapExceeded, match=message):
+        check_cap(2, 3)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 36, 1000])
+def test_check_cap_matches_the_stratum_size(monkeypatch, cap):
+    monkeypatch.setenv("MGS_BALL_CAP", str(cap))
+    for arity in range(5):
+        for length in range(10):
+            refused = stratum_size(arity, length) > cap
+            try:
+                check_cap(arity, length)
+            except BallCapExceeded:
+                assert refused
+            else:
+                assert not refused
 
 
 def test_ball_cap_env_override(monkeypatch):
