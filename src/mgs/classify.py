@@ -272,8 +272,12 @@ def enumerate_markings(table: FiniteGroupTable, arity: int) -> list[MarkingClass
     if arity < 1:
         raise ValueError(f"arity must be at least 1, got {arity}")
     n = table.order
-    if n**arity > ENUMERATION_BUDGET:
-        raise ValueError(f"{n}^{arity} tuples exceed the enumeration budget")
+    # n^arity is multiplied out only until it passes the budget
+    count = 1
+    for _ in range(arity if n > 1 else 0):
+        count *= n
+        if count > ENUMERATION_BUDGET:
+            raise ValueError(f"{n}^{arity} tuples exceed the enumeration budget")
     autos = automorphism_group(table)
     classes = []
     seen: set[tuple[int, ...]] = set()

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Sequence, Union
 
 from .abelian import (
@@ -42,7 +42,7 @@ from .dihedral import (
     is_generating_dih,
 )
 from .tables import FiniteGroupTable
-from .words import Word, check_cap, free_reduce, trivial_ops, walk_ball
+from .words import Word, check_cap, free_reduce, walk_ball
 
 GroupLike = Union[AbelianGroup, GenDihedralGroup, FiniteGroupTable]
 
@@ -136,10 +136,9 @@ class RelationBall:
                 raise ValueError("relation outside the stated ball")
         if not self.relations or not self.relations[0].is_identity():
             raise ValueError("a relation ball must contain the empty word")
-        as_set = set(self.relations)
-        for w in self.relations:
-            if w.inverse() not in as_set:
-                raise ValueError("a relation ball must be closed under inversion")
+        letters = {w.letters for w in self.relations}
+        if {tuple(map(neg, w[::-1])) for w in letters} != letters:
+            raise ValueError("a relation ball must be closed under inversion")
 
     @cached_property
     def as_set(self) -> frozenset[Word]:
@@ -229,16 +228,36 @@ class _Flat:
 
 
 def relation_ball(marked: MarkedGroup, radius: int) -> RelationBall:
-    """All relations of length <= radius, by breadth-first evaluation."""
+    """All relations of length <= radius, by meet in the middle.
+
+    A word u*v with |u| = ceil(L/2) is a relation exactly when
+    val(u) = val(v^-1).  One walk to radius ceil(R/2) carries both
+    values of every half-word (the second under the reversed product
+    with inverted letters); each length's half-words are indexed by
+    val(w^-1), and every u, in ball order, is joined with the v of its
+    value, in ball order, so the relations come out in ball order.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     m = marked.arity
     check_cap(m, radius)
-    ops = _Flat(marked).ops()
-    identity = ops[0]
+    identity, times, values = ops = _Flat(marked).ops()
+    inverse_ops = (identity, lambda x, y: times(y, x), {ell: values[-ell] for ell in values})
+    layers = [[((), identity, identity)]]
+    layers.extend(walk_ball(m, (radius + 1) // 2, ops, inverse_ops))
+    by_inverse = []
+    for layer in layers[: radius // 2 + 1]:
+        index = {}
+        for v, _, x in layer:
+            index.setdefault(x, []).append(v)
+        by_inverse.append(index)
     relations = [Word((), m)]
-    for layer in walk_ball(m, radius, ops, trivial_ops(m)):
-        relations.extend(Word(w, m) for w, v, _ in layer if v == identity)
+    for length in range(1, radius + 1):
+        index = by_inverse[length // 2]
+        for u, x, _ in layers[(length + 1) // 2]:
+            for v in index.get(x, ()):
+                if not v or u[-1] != -v[0]:
+                    relations.append(Word(u + v, m))
     return RelationBall(m, radius, tuple(relations))
 
 

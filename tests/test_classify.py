@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -68,6 +69,12 @@ def test_enumerate_markings_family_i_sets():
 def test_enumerate_markings_budget():
     with pytest.raises(ValueError, match="budget"):
         enumerate_markings(dihedral_table(6), 8)
+
+
+def test_enumerate_markings_budget_never_builds_the_tuple_count():
+    message = "12^1000000000 tuples exceed the enumeration budget"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        enumerate_markings(dihedral_table(6), 10**9)
 
 
 @pytest.mark.parametrize("arity", [0, -1])

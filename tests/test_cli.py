@@ -249,6 +249,7 @@ def test_converge_and_closure_map_take_an_a_dot_dot_b_range(capsys):
         (["check", "@P1", "--in", "Dih(Z/1000000000000)"], 1),
         (["recognize", "Dih(Z/1000000000000)"], 1),
         (["classify", "Dih(Z/1000000000000)"], 1),
+        (["classify", "D12", "--arity", "1000000000"], 1),
         (["ball", "D6:a,b", "--radius", "1000000000"], 1),
         (
             ["converge", "--family", "Dih(Z/N):a,b", "--limit", "Dinf:a,b"]
@@ -269,6 +270,7 @@ def test_converge_and_closure_map_take_an_a_dot_dot_b_range(capsys):
         "huge-table-check",
         "huge-table-recognize",
         "huge-table-classify",
+        "huge-arity-classify",
         "huge-radius",
         "huge-range-converge",
         "huge-range-closure-map",

@@ -15,6 +15,7 @@ from mgs.topology import (
     _signed_vectors,
     MarkedGroup,
     NotGenerating,
+    RelationBall,
     accumulation_witness,
     agreement_radius,
     cb_rank,
@@ -28,7 +29,7 @@ from mgs.topology import (
     relation_ball,
     separating_word,
 )
-from mgs.words import BallCapExceeded, free_reduce
+from mgs.words import BallCapExceeded, Word, free_reduce
 
 
 def dihedral_marked(n):
@@ -100,6 +101,25 @@ def test_relation_ball_cap(monkeypatch):
     monkeypatch.setenv("MGS_BALL_CAP", "100")
     with pytest.raises(BallCapExceeded):
         relation_ball(dihedral_marked(3), 20)
+
+
+def test_relation_ball_checks_its_own_shape():
+    def ball(radius, *words):
+        return RelationBall(2, radius, tuple(Word(w, 2) for w in words))
+
+    assert ball(2, (), (1, 2), (-2, -1)).radius == 2
+    with pytest.raises(ValueError, match="outside the stated ball"):
+        ball(1, (), (1, 1), (-1, -1))
+    with pytest.raises(ValueError, match="outside the stated ball"):
+        RelationBall(2, 2, (Word((), 2), Word((3,), 3), Word((-3,), 3)))
+    with pytest.raises(ValueError, match="must contain the empty word"):
+        ball(2, (1, 1), (), (-1, -1))
+    with pytest.raises(ValueError, match="must contain the empty word"):
+        ball(2)
+    with pytest.raises(ValueError, match="closed under inversion"):
+        ball(2, (), (1, 2))
+    with pytest.raises(ValueError, match="closed under inversion"):
+        ball(2, (), (1, 2), (-1, -2))
 
 
 def test_agreement_examples():

@@ -4,8 +4,8 @@ The oracle lists reduced words with itertools.product, sorts them by
 Word order and evaluates each one with MarkedGroup.is_relation, so it
 shares no code with the walker behind relation_ball, the enumeration
 comparison route and enumerate_ball.  The enumeration route keeps one
-word per pair of values; it is also checked against the walk that
-keeps every word.
+word per pair of values, and relation balls join half-length words by
+value; both are also checked against the walk that keeps every word.
 """
 
 import functools
@@ -13,7 +13,7 @@ import operator
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgs.dsl import parse_marked
@@ -155,6 +155,23 @@ def test_cap_refuses_a_ball_up_front_but_not_an_early_witness(monkeypatch):
         agreement_radius(marked, marked, 8)
 
 
+def test_relation_ball_dinf_radius_12():
+    ball = relation_ball(parse_marked("Dinf:a,b"), 12)
+    assert len(ball.relations) == 90_937
+    assert [str(w) for w in ball.relations[:2]] == ["1", "g1^2"]
+    assert str(ball.relations[-1]) == "g2^-5*g1^-1*g2^-5*g1^-1"
+
+
+def test_half_length_walk_adds_no_refusal(monkeypatch):
+    # 324 words of length 5 over 2 generators; the half-length walk stops at 3
+    monkeypatch.setenv("MGS_BALL_CAP", "324")
+    dinf = parse_marked("Dinf:a,b")
+    assert len(relation_ball(dinf, 5).relations) == len(oracle_ball(dinf, 5))
+    message = "radius-6 stratum over 2 generators exceeds the cap of 324"
+    with pytest.raises(BallCapExceeded, match=f"^{message}$"):
+        relation_ball(dinf, 6)
+
+
 @pytest.mark.parametrize("cap", ["0", "-1", "1e2"])
 def test_bad_cap_values_are_refused(monkeypatch, cap):
     monkeypatch.setenv("MGS_BALL_CAP", cap)
@@ -286,3 +303,53 @@ def test_pruned_enumeration_matches_the_full_walk_and_the_oracle(case):
     assert unpruned_compare(a, b, r_max) == expected
     assert agreement_radius(a, b, r_max, method="enumerate") == expected[0]
     assert separating_word(a, b, r_max, method="enumerate") == expected[1]
+
+
+# ---------------------------------------------------------------------------
+# Relation balls by meet in the middle on random markings
+
+
+def full_walk_ball(marked, radius):
+    """The relations among all reduced words, by the walk that keeps every word."""
+    m = marked.arity
+    ops = _Flat(marked).ops()
+    layers = walk_ball(m, radius, ops, trivial_ops(m))
+    return [Word((), m)] + [
+        Word(w, m) for layer in layers for w, x, _ in layer if x == ops[0]
+    ]
+
+
+def ball_texts(arity, k):
+    """Dihedral and abelian markings (with torsion) of the given arity."""
+    if arity == 1:
+        return ("Z:(1)", f"Z/{k}:(1)", f"Z/{k}:(-1)", f"Z/{2 * k + 1}:(2)")
+    return partner_texts(arity, k)
+
+
+@st.composite
+def ball_cases(draw):
+    """(marking, radius): a random generating tuple of a fixture table, or
+    of a dihedral or abelian marking, at arity 1 to 3 and radius 0 to 6
+    (to 4 at arity 3, where the oracle lists 5^5 times more words)."""
+    arity = draw(st.integers(1, 3))
+    steps = draw(moves)
+    if arity > 1 and draw(st.booleans()):
+        names = TABLES + (("DihZ4xZ4",) if arity == 3 else ())
+        marked = mixed_table(draw(st.sampled_from(names)), arity, steps)
+    else:
+        k = draw(st.integers(2, 12))
+        marked = mixed_text(draw(st.sampled_from(ball_texts(arity, k))), steps)
+    return marked, draw(st.sampled_from(range(7 if arity < 3 else 5)))
+
+
+@given(ball_cases())
+@example((parse_marked("Dinf:a,b"), 0))
+@example((parse_marked("Dinf:a,b"), 5))
+@example((parse_marked("Dih(Z/3):a,b"), 6))
+@example((parse_marked("Dih(Z^2):a,b,c"), 4))
+@settings(max_examples=200, deadline=None)
+def test_relation_ball_matches_the_full_walk_and_the_oracle(case):
+    marked, radius = case
+    expected = oracle_ball(marked, radius)
+    assert full_walk_ball(marked, radius) == expected
+    assert list(relation_ball(marked, radius).relations) == expected
