@@ -6,16 +6,18 @@ variables; the empty word is the constant 1).  There are no existential
 quantifiers anywhere: the AST cannot express them.
 
 Checking is exhaustive over all k-tuples of a finite group, in
-lexicographic order, but assignments are extended one variable at a
-time and the body is partially evaluated after each binding; subtrees
-whose truth value is already decided are skipped.  The reported
-counterexample is still the lexicographically first failing tuple.
+lexicographic order.  The body is compiled once per check: each atom is
+evaluated at the depth that binds its last variable, and a three-valued
+decider per depth skips every subtree whose truth value is settled.
+Sibling values of a variable that no deeper atom mentions, with equal
+atoms, have equal subtrees, so a subtree that held is not searched
+again.  The counterexample is the lexicographically first failing tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import itemgetter
 from typing import Union
 
 from .tables import FiniteGroupTable
@@ -61,11 +63,10 @@ class Implies:
 Formula = Union[Atom, Not, And, Or, Implies]
 
 
-@lru_cache(maxsize=None)
 def _max_variable(formula: Formula) -> int:
     if isinstance(formula, Atom):
-        letters = formula.left.letters + formula.right.letters
-        return max((abs(l) for l in letters), default=0)
+        terms = formula.left.letters, formula.right.letters
+        return max([abs(ell) for term in terms for ell in term], default=0)
     if isinstance(formula, Not):
         return _max_variable(formula.child)
     if isinstance(formula, (And, Or)):
@@ -83,9 +84,7 @@ class UniversalSentence:
             raise ValueError("variable count must be nonnegative")
         used = _max_variable(self.body)
         if used > self.variables:
-            raise ValueError(
-                f"body uses variable x{used} but only {self.variables} are quantified"
-            )
+            raise ValueError(f"body uses variable x{used} but only {self.variables} are quantified")
 
 
 @dataclass(frozen=True)
@@ -100,57 +99,106 @@ class SentenceCheck:
 def _eval_term(word: Word, assignment, rows, inverses) -> int:
     v = 0
     for ell in word.letters:
-        g = assignment[ell - 1] if ell > 0 else inverses[assignment[-ell - 1]]
-        v = rows[v][g]
+        v = rows[v][assignment[ell - 1] if ell > 0 else inverses[assignment[-ell - 1]]]
     return v
 
 
-def _partial(formula, assignment, bound, rows, inverses):
-    """Three-valued evaluation: True, False, or a residual formula."""
+def _truth(formula, assignment, rows, inverses) -> bool:
+    """Two-valued evaluation at an assignment that binds every variable."""
     if isinstance(formula, Atom):
-        if _max_variable(formula) > bound:
-            return formula
-        a = _eval_term(formula.left, assignment, rows, inverses)
-        b = _eval_term(formula.right, assignment, rows, inverses)
+        a, b = [_eval_term(w, assignment, rows, inverses) for w in (formula.left, formula.right)]
         return (a == b) == formula.positive
     if isinstance(formula, Not):
-        c = _partial(formula.child, assignment, bound, rows, inverses)
-        if isinstance(c, bool):
-            return not c
-        return Not(c)
-    if isinstance(formula, And):
-        residual = []
+        return not _truth(formula.child, assignment, rows, inverses)
+    if isinstance(formula, (And, Or)):
+        decisive = isinstance(formula, Or)
         for child in formula.children:
-            c = _partial(child, assignment, bound, rows, inverses)
-            if c is False:
+            if _truth(child, assignment, rows, inverses) == decisive:
+                return decisive
+        return not decisive
+    hypothesis = _truth(formula.hypothesis, assignment, rows, inverses)
+    return not hypothesis or _truth(formula.conclusion, assignment, rows, inverses)
+
+
+# A compiled decider maps the atom values to True, False or None (not settled
+# yet); at each depth, a subformula with no atom bound yet compiles to None.
+
+
+def _negate(child):
+    if child is None:
+        return None
+    return lambda vals: None if (r := child(vals)) is None else not r
+
+
+def _junction(children, decisive):
+    """And (decisive False) or Or (decisive True) of compiled children."""
+    known = [c for c in children if c is not None]
+    if not known:
+        return None if children else lambda vals: not decisive
+    rest = None if len(known) < len(children) else not decisive
+
+    def decide(vals):
+        out = rest
+        for c in known:
+            r = c(vals)
+            if r is decisive:
+                return decisive
+            if r is None:
+                out = None
+        return out
+
+    return decide
+
+
+def _compile(formula, atoms, k):
+    """The deciders of ``formula`` at depths 0..k; appends its atoms to ``atoms``."""
+    if isinstance(formula, Atom):
+        depth = _max_variable(formula)
+        atoms.append((depth, formula.left.letters, formula.right.letters, formula.positive))
+        return [None] * depth + [itemgetter(len(atoms) - 1)] * (k + 1 - depth)
+    if isinstance(formula, Not):
+        return [_negate(c) for c in _compile(formula.child, atoms, k)]
+    if isinstance(formula, (And, Or)):
+        compiled = [_compile(c, atoms, k) for c in formula.children]
+        decisive = isinstance(formula, Or)
+        return [_junction([c[d] for c in compiled], decisive) for d in range(k + 1)]
+    hypotheses = _compile(formula.hypothesis, atoms, k)
+    conclusions = _compile(formula.conclusion, atoms, k)
+    return [_junction([_negate(h), c], True) for h, c in zip(hypotheses, conclusions)]
+
+
+def _holds_below(d, plan, env, vals):
+    """Whether the body holds at every tuple extending the bound x_1..x_{d-1}.
+
+    ``env[i]`` is the value of x_i and ``env[-i]`` its inverse, so a letter
+    indexes ``env``.  On False, ``env[1..k]`` is the first failing tuple.
+    """
+    rows, inverses, levels = plan
+    atoms, decide, settled = levels[d]
+    held = set()  # atom values at depth d whose subtree held
+    for v in range(len(rows)):
+        env[d], env[-d] = v, inverses[v]
+        key = 0
+        for i, left, right, positive in atoms:
+            a = 0
+            for ell in left:
+                a = rows[a][env[ell]]
+            b = 0
+            for ell in right:
+                b = rows[b][env[ell]]
+            vals[i] = bit = (a == b) == positive
+            key = 2 * key + bit
+        if settled and key in held:
+            continue
+        verdict = decide(vals) if decide else None
+        if verdict is None:
+            if not _holds_below(d + 1, plan, env, vals):
                 return False
-            if c is not True:
-                residual.append(c)
-        if not residual:
-            return True
-        return residual[0] if len(residual) == 1 else And(tuple(residual))
-    if isinstance(formula, Or):
-        residual = []
-        for child in formula.children:
-            c = _partial(child, assignment, bound, rows, inverses)
-            if c is True:
-                return True
-            if c is not False:
-                residual.append(c)
-        if not residual:
+        elif not verdict:
+            env[d + 1 : len(levels)] = [0] * (len(levels) - 1 - d)
             return False
-        return residual[0] if len(residual) == 1 else Or(tuple(residual))
-    h = _partial(formula.hypothesis, assignment, bound, rows, inverses)
-    if h is False:
-        return True
-    c = _partial(formula.conclusion, assignment, bound, rows, inverses)
-    if c is True:
-        return True
-    if h is True:
-        return c
-    if c is False:
-        return Not(h)
-    return Implies(h, c)
+        held.add(key)
+    return True
 
 
 def holds_in(
@@ -163,121 +211,78 @@ def holds_in(
     Returns the verdict together with the lexicographically first
     failing tuple of element indices when the sentence fails.
     """
-    n = table.order
-    k = sentence.variables
+    n, k = table.order, sentence.variables
     if n**k > budget:
-        raise BudgetExceeded(
-            f"{n}^{k} assignments exceed the evaluation budget of {budget}"
-        )
-    rows = table.rows
-    inverses = table.inverses
-
-    def search(depth, assignment, residual):
-        if residual is True:
-            return None
-        if residual is False:
-            return assignment + (0,) * (k - depth)
-        for v in range(n):
-            extended = assignment + (v,)
-            res2 = _partial(residual, extended, depth + 1, rows, inverses)
-            hit = search(depth + 1, extended, res2)
-            if hit is not None:
-                return hit
-        return None
-
-    start = _partial(sentence.body, (), 0, rows, inverses)
-    witness = search(0, (), start)
-    if witness is None:
+        raise BudgetExceeded(f"{n}^{k} assignments exceed the evaluation budget of {budget}")
+    atoms = []
+    deciders = _compile(sentence.body, atoms, k)
+    levels = [[[], decide, True] for decide in deciders]  # atoms, decider, settled
+    for i, (depth, left, right, positive) in enumerate(atoms):
+        levels[depth][0].append((i, left, right, positive))
+        for term in (left, right):
+            for ell in term:
+                if abs(ell) < depth:  # x_|ell| occurs in an atom bound deeper
+                    levels[abs(ell)][2] = False
+    vals = [atom[3] for atom in atoms]  # a depth-0 atom is 1 = 1 or 1 != 1
+    env = [0] * (2 * k + 1)
+    verdict = deciders[0](vals) if deciders[0] else None
+    if verdict is None:
+        verdict = _holds_below(1, (table.rows, table.inverses, levels), env, vals)
+    if verdict:
         return SentenceCheck(True, None)
+    witness = tuple(env[1 : k + 1])
     # counterexamples are re-evaluated before being handed back
-    confirmed = _partial(sentence.body, witness, k, rows, inverses)
-    if confirmed is not False:
+    if _truth(sentence.body, witness, table.rows, table.inverses):
         raise AssertionError("internal error: counterexample does not falsify the body")
     return SentenceCheck(False, witness)
 
 
 def evaluate_body(table: FiniteGroupTable, body: Formula, assignment) -> bool:
     """Plain evaluation of a quantifier-free body at a full assignment."""
-    out = _partial(body, tuple(assignment), len(assignment), table.rows, table.inverses)
-    if not isinstance(out, bool):
+    if _max_variable(body) > len(assignment):
         raise ValueError("assignment does not bind every variable")
-    return out
+    return _truth(body, tuple(assignment), table.rows, table.inverses)
 
 
 # ---------------------------------------------------------------------------
 # Built-in sentences
 
 
-def _term(k: int, *letters: int) -> Word:
-    return free_reduce(letters, k)
+def _implication(k: int, hypotheses, conclusion) -> UniversalSentence:
+    """forall x_1..x_k : (every hypothesis) -> conclusion; an atom is (left, right[, positive])."""
 
+    def atom(left, right, positive=True):
+        return Atom(free_reduce(left, k), free_reduce(right, k), positive)
 
-def _one(k: int) -> Word:
-    return Word((), k)
+    body = Implies(And(tuple([atom(*h) for h in hypotheses])), atom(*conclusion))
+    return UniversalSentence(k, body)
 
 
 def _sentences() -> dict[str, UniversalSentence]:
-    x, y, z, t = 1, 2, 3, 4
-
-    # every pair of non-involutions commutes
-    p1 = UniversalSentence(
-        2,
-        Implies(
-            And((Atom(_term(2, x, x), _one(2), False), Atom(_term(2, y, y), _one(2), False))),
-            Atom(_term(2, x, y), _term(2, y, x)),
+    x, y, z, t, u = 1, 2, 3, 4, 5
+    one, x1, y1, xx, yy = (), (x,), (y,), (x, x), (y, y)
+    xz, zx, yt, ty = (x, z), (z, x), (y, t), (t, y)
+    return {
+        # every pair of non-involutions commutes
+        "P1": _implication(2, [(xx, one, False), (yy, one, False)], ((x, y), (y, x))),
+        # a non-central involution conjugates every non-involution to its inverse
+        "P2": _implication(
+            3, [(x1, one, False), (xx, one), (yy, one, False), (xz, zx, False)], ((-x, y, x), (-y,))
         ),
-    )
-    # a non-central involution conjugates every non-involution to its inverse
-    p2 = UniversalSentence(
-        3,
-        Implies(
-            And(
-                (
-                    Atom(_term(3, x), _one(3), False),
-                    Atom(_term(3, x, x), _one(3)),
-                    Atom(_term(3, y, y), _one(3), False),
-                    Atom(_term(3, x, z), _term(3, z, x), False),
-                )
-            ),
-            Atom(_term(3, -x, y, x), _term(3, -y)),
+        # the product of two commuting non-central involutions is central
+        "P3": _implication(
+            5,
+            [(xz, zx, False), (yt, ty, False), (xx, one), (yy, one), ((x, y, x, y), one)],
+            ((x, y, u), (u, x, y)),
         ),
-    )
-    # the product of two commuting non-central involutions is central
-    p3 = UniversalSentence(
-        5,
-        Implies(
-            And(
-                (
-                    Atom(_term(5, x, z), _term(5, z, x), False),
-                    Atom(_term(5, y, t), _term(5, t, y), False),
-                    Atom(_term(5, x, x), _one(5)),
-                    Atom(_term(5, y, y), _one(5)),
-                    Atom(_term(5, x, y, x, y), _one(5)),
-                )
-            ),
-            Atom(_term(5, x, y, 5), _term(5, 5, x, y)),
+        # at most one central element of order 2
+        "P4": _implication(
+            4,
+            [(x1, one, False), (xx, one), (y1, one, False), (yy, one), ((z, z), one, False),
+             ((t, t), one, False), (xz, zx), (yt, ty)],
+            (x1, y1),
         ),
-    )
-    # at most one central element of order 2
-    p4 = UniversalSentence(
-        4,
-        Implies(
-            And(
-                (
-                    Atom(_term(4, x), _one(4), False),
-                    Atom(_term(4, x, x), _one(4)),
-                    Atom(_term(4, y), _one(4), False),
-                    Atom(_term(4, y, y), _one(4)),
-                    Atom(_term(4, z, z), _one(4), False),
-                    Atom(_term(4, t, t), _one(4), False),
-                    Atom(_term(4, x, z), _term(4, z, x)),
-                    Atom(_term(4, y, t), _term(4, t, y)),
-                )
-            ),
-            Atom(_term(4, x), _term(4, y)),
-        ),
-    )
-    return {"P1": p1, "P2": p2, "P3": p3, "P4": p4}
+    }
 
 
 BUILTIN_SENTENCES = _sentences()
@@ -295,10 +300,7 @@ def builtin_sentence(name: str) -> UniversalSentence:
 
 
 def _square_word(word: Word) -> Word:
-    letters = []
-    for ell in word.letters:
-        letters.extend((ell, ell))
-    return free_reduce(letters, word.arity)
+    return free_reduce([ell for ell in word.letters for _ in (0, 1)], word.arity)
 
 
 def _square_formula(formula: Formula) -> Formula:
@@ -306,10 +308,8 @@ def _square_formula(formula: Formula) -> Formula:
         return Atom(_square_word(formula.left), _square_word(formula.right), formula.positive)
     if isinstance(formula, Not):
         return Not(_square_formula(formula.child))
-    if isinstance(formula, And):
-        return And(tuple(_square_formula(c) for c in formula.children))
-    if isinstance(formula, Or):
-        return Or(tuple(_square_formula(c) for c in formula.children))
+    if isinstance(formula, (And, Or)):
+        return type(formula)(tuple([_square_formula(c) for c in formula.children]))
     return Implies(_square_formula(formula.hypothesis), _square_formula(formula.conclusion))
 
 

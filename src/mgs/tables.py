@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -226,14 +226,12 @@ def load_table(path) -> FiniteGroupTable:
 
 
 def load_fixture(name: str) -> FiniteGroupTable:
-    root = resources.files("mgs") / "fixtures"
+    # a plain path: importlib.resources imports about 1.5 MB of modules
+    root = os.path.join(os.path.dirname(__file__), "fixtures")
     for suffix in ("", ".json", ".txt"):
-        candidate = root / (name + suffix)
-        if candidate.is_file():
-            text = candidate.read_text(encoding="utf-8")
-            if candidate.name.endswith(".json"):
-                return loads_json(text)
-            return loads_text(text)
+        path = os.path.join(root, name + suffix)
+        if os.path.isfile(path):
+            return load_table(path)
     raise FileNotFoundError(f"no fixture named {name!r}")
 
 

@@ -11,7 +11,6 @@ inverse) so that enumerations are reproducible.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import os
 from dataclasses import dataclass
@@ -129,11 +128,16 @@ class Word:
         """Run-length text of the word, generator i printed as names[i - 1]."""
         if not self.letters:
             return "1"
-        parts = []
-        for letter, run in itertools.groupby(self.letters):
-            exp = len(list(run)) * (1 if letter > 0 else -1)
+        letters, parts = self.letters, []
+        start, end = 0, len(letters)
+        while start < end:
+            letter, stop = letters[start], start + 1
+            while stop < end and letters[stop] == letter:
+                stop += 1
             name = names[abs(letter) - 1]
+            exp = stop - start if letter > 0 else start - stop
             parts.append(name if exp == 1 else f"{name}^{exp}")
+            start = stop
         return "*".join(parts)
 
     def __str__(self) -> str:

@@ -1,4 +1,9 @@
+import gc
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgs.abelian import AbelianGroup
 from mgs.dihedral import GenDihedralGroup, materialize_table
@@ -7,6 +12,8 @@ from mgs.logic import (
     Atom,
     BudgetExceeded,
     Implies,
+    Not,
+    Or,
     UniversalSentence,
     builtin_sentence,
     evaluate_body,
@@ -148,3 +155,116 @@ def test_p_sentences_hold_in_all_small_dihedral():
         t = materialize_table(GenDihedralGroup(base))
         for name in ("P1", "P2", "P3"):
             assert holds_in(t, builtin_sentence(name), budget=10**8).holds
+
+
+# ---------------------------------------------------------------------------
+# The compiled search against a plain product evaluator
+
+
+TABLES = {
+    **{name: load_fixture(name) for name in ("D6", "D8", "Q8", "A4")},
+    **{f"Z/{n}": materialize_table(AbelianGroup(0, (n,) if n > 1 else ())) for n in (1, 2, 5, 6)},
+}
+
+
+def oracle_check(table, sentence):
+    """The first failing tuple in itertools.product order, or None."""
+
+    def value(word, xs):
+        v = 0
+        for ell in word.letters:
+            g = xs[abs(ell) - 1]
+            v = table.mul(v, g if ell > 0 else table.inv(g))
+        return v
+
+    def truth(f, xs):
+        if isinstance(f, Atom):
+            return (value(f.left, xs) == value(f.right, xs)) == f.positive
+        if isinstance(f, Not):
+            return not truth(f.child, xs)
+        if isinstance(f, And):
+            return all(truth(c, xs) for c in f.children)
+        if isinstance(f, Or):
+            return any(truth(c, xs) for c in f.children)
+        return not truth(f.hypothesis, xs) or truth(f.conclusion, xs)
+
+    for xs in product(range(table.order), repeat=sentence.variables):
+        if not truth(sentence.body, xs):
+            return xs
+    return None
+
+
+@st.composite
+def checks(draw):
+    """A fixture table and a random sentence with up to 4 variables.
+
+    Each atom draws its letters from x_1..x_top for a random top, so many
+    variables occur only in atoms bound early, the case where sibling
+    values with equal atoms share one subtree.
+    """
+    name = draw(st.sampled_from(sorted(TABLES)))
+    table = TABLES[name]
+    k = draw(st.integers(0, 4 if table.order <= 8 else 3))
+
+    def term(top):
+        if not top:
+            return Word((), k)
+        letter = st.integers(-top, top).filter(bool)
+        return free_reduce(draw(st.lists(letter, max_size=4)), k)
+
+    def formula(depth):
+        kinds = ("atom", "not", "and", "or", "implies") if depth < 3 else ("atom",)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "atom":
+            top = draw(st.integers(0, k))
+            return Atom(term(top), term(top), draw(st.booleans()))
+        if kind == "not":
+            return Not(formula(depth + 1))
+        if kind == "implies":
+            return Implies(formula(depth + 1), formula(depth + 1))
+        children = tuple(formula(depth + 1) for _ in range(draw(st.integers(0, 3))))
+        return And(children) if kind == "and" else Or(children)
+
+    return name, UniversalSentence(k, formula(0))
+
+
+@given(checks())
+@settings(max_examples=400, deadline=None)
+def test_holds_in_matches_the_product_oracle(check):
+    name, sentence = check
+    table = TABLES[name]
+    want = oracle_check(table, sentence)
+    out = holds_in(table, sentence)
+    assert out.holds == (want is None)
+    assert out.counterexample == want
+    if want is not None:
+        assert evaluate_body(table, sentence.body, want) is False
+
+
+def test_builtin_sentences_match_the_product_oracle():
+    for name, table in TABLES.items():
+        for p in ("P1", "P2", "P3", "P4"):
+            sentence = builtin_sentence(p)
+            if table.order**sentence.variables <= 40_000:
+                out = holds_in(table, sentence)
+                assert out.counterexample == oracle_check(table, sentence), (name, p)
+
+
+def test_evaluate_body_needs_every_variable():
+    body = builtin_sentence("P2").body
+    with pytest.raises(ValueError, match="does not bind every variable"):
+        evaluate_body(TABLES["D6"], body, (0, 1))
+
+
+def test_holds_in_leaves_no_reference_cycles():
+    d12, a4 = dihedral_table(6), TABLES["A4"]
+    p1, p3 = builtin_sentence("P1"), builtin_sentence("P3")
+    d12.inverses, a4.inverses  # cached before the count starts
+    gc.collect()
+    gc.disable()
+    try:
+        assert holds_in(d12, p3, budget=10**8).holds
+        assert not holds_in(a4, p1).holds
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -89,6 +92,23 @@ def test_fixture_a4_and_q8_are_valid():
     assert q8.order == 8 and not q8.is_abelian()
     assert sorted(a4.element_order(i) for i in range(12)) == [1] + [2] * 3 + [3] * 8
     assert sorted(q8.element_order(i) for i in range(8)) == [1, 2] + [4] * 6
+
+
+def test_fixtures_load_by_name_or_file_name():
+    assert load_fixture("Q8.txt").rows == load_fixture("Q8").rows
+    assert load_fixture("D6.json").rows == load_fixture("D6").rows
+    with pytest.raises(FileNotFoundError, match="no fixture named 'D7'"):
+        load_fixture("D7")
+
+
+def test_import_leaves_out_the_archive_and_tempfile_modules():
+    # importlib.resources would pull these in, about 1.5 MB per process
+    heavy = ("importlib.resources", "tempfile", "shutil", "bz2", "lzma")
+    code = f"import sys, mgs; mgs.load_fixture('A4'); print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_subgroup_table():
