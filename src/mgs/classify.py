@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .abelian import AbelianGroup, _identity_matrix, determinant, matmul, matvec
 from .dihedral import GenDihedralElement, GenDihedralGroup, is_generating_dih
-from .tables import FiniteGroupTable, automorphism_group
+from .tables import FiniteGroupTable, automorphism_group, check_automorphism_bound
 
 ENUMERATION_BUDGET = 10_000_000
 
@@ -278,15 +278,26 @@ def enumerate_markings(table: FiniteGroupTable, arity: int) -> list[MarkingClass
         count *= n
         if count > ENUMERATION_BUDGET:
             raise ValueError(f"{n}^{arity} tuples exceed the enumeration budget")
-    autos = automorphism_group(table)
+    check_automorphism_bound(n)
+    trivial = frozenset([0])
+    span: dict[tuple[frozenset[int], int], frozenset[int]] = {}  # (H, x) -> <H, x>
+    columns = None  # the image of each element under every automorphism
     classes = []
     seen: set[tuple[int, ...]] = set()
     for tup in product(range(n), repeat=arity):
         if tup in seen:
             continue
-        if len(table.closure(tup)) != n:
+        sub = trivial
+        for i, x in enumerate(tup):
+            nxt = span.get((sub, x))
+            if nxt is None:
+                nxt = span[sub, x] = table.closure(tup[: i + 1])
+            sub = nxt
+        if len(sub) != n:
             continue
-        orbit = {tuple(phi[x] for x in tup) for phi in autos}
+        if columns is None:
+            columns = list(zip(*automorphism_group(table)))
+        orbit = set(zip(*[columns[x] for x in tup]))
         seen.update(orbit)
         involutions = frozenset(
             i + 1 for i, x in enumerate(tup) if table.mul(x, x) == 0

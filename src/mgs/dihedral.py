@@ -146,14 +146,15 @@ def materialize_table(group):
     Rotations come first, then reflections, each block in lexicographic
     coordinate order, so the identity lands at index 0 and labels are
     stable across runs.  The order is checked against MATERIALIZE_BOUND
-    before any element is listed.
+    before any element is listed.  Rows are built on the mixed-radix
+    indices of the base coordinates; labels come from the elements.
     """
     from .tables import FiniteGroupTable
 
     if isinstance(group, AbelianGroup):
-        op = lambda x, y: x + y
+        base = group
     elif isinstance(group, GenDihedralGroup):
-        op = lambda x, y: x * y
+        base = group.base
     else:
         raise TypeError(f"cannot materialize {type(group).__name__}")
     if not group.is_finite():
@@ -161,10 +162,23 @@ def materialize_table(group):
     n = group.order()
     if n > MATERIALIZE_BOUND:
         raise ValueError(f"group order {n} exceeds the cap of {MATERIALIZE_BOUND}")
-    elems = list(group.elements())
-    index = {x: i for i, x in enumerate(elems)}
-    rows = tuple(
-        tuple(index[op(x, y)] for y in elems) for x in elems
-    )
-    labels = tuple(str(x) for x in elems)
-    return FiniteGroupTable(n, rows, labels)
+    # index of (c_1..c_t) is ((c_1 d_2 + c_2) d_3 + ...) + c_t, the order of elements()
+    add: list[list[int]] = [[0]]
+    neg = [0]
+    for d in base.invariant_factors:
+        add = [
+            [a * d + (x + y) % d for a in row for y in range(d)]
+            for row in add
+            for x in range(d)
+        ]
+        neg = [a * d + -x % d for a in neg for x in range(d)]
+    rows = [tuple(row) for row in add]
+    if isinstance(group, GenDihedralGroup):
+        # <v;0><w;e> = <v+w;e> and <v;1><w;e> = <v-w;1-e>
+        m = len(add)
+        rows = [row + tuple([m + a for a in row]) for row in rows]
+        for row in add:
+            diff = tuple([row[w] for w in neg])  # v - w for every w
+            rows.append(tuple([m + a for a in diff]) + diff)
+    labels = tuple(str(x) for x in group.elements())
+    return FiniteGroupTable(n, tuple(rows), labels)

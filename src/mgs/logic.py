@@ -24,6 +24,7 @@ from .tables import FiniteGroupTable
 from .words import Word, free_reduce
 
 DEFAULT_EVAL_BUDGET = 10_000_000
+VARIABLE_BOUND = 500  # the search recurses once per variable
 
 
 class BudgetExceeded(ValueError):
@@ -214,6 +215,8 @@ def holds_in(
     n, k = table.order, sentence.variables
     if n**k > budget:
         raise BudgetExceeded(f"{n}^{k} assignments exceed the evaluation budget of {budget}")
+    if k > VARIABLE_BOUND:
+        raise ValueError(f"{k} variables exceed the sentence check bound of {VARIABLE_BOUND}")
     atoms = []
     deciders = _compile(sentence.body, atoms, k)
     levels = [[[], decide, True] for decide in deciders]  # atoms, decider, settled

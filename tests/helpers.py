@@ -48,15 +48,15 @@ def abelian_closure(group, elements):
     return seen
 
 
-def tables_isomorphic(t1, t2) -> bool:
-    """Brute-force table isomorphism (small orders only)."""
+def isomorphisms(t1, t2):
+    """Every isomorphism t1 -> t2 as an index tuple, by permutation search."""
     n = t1.order
     if n != t2.order:
-        return False
+        return
     orders1 = [t1.element_order(i) for i in range(n)]
     orders2 = [t2.element_order(i) for i in range(n)]
     if sorted(orders1) != sorted(orders2):
-        return False
+        return
     for perm in permutations(range(1, n)):
         phi = (0,) + perm
         if any(orders1[i] != orders2[phi[i]] for i in range(n)):
@@ -66,8 +66,35 @@ def tables_isomorphic(t1, t2) -> bool:
             for a in range(n)
             for b in range(n)
         ):
-            return True
-    return False
+            yield phi
+
+
+def tables_isomorphic(t1, t2) -> bool:
+    """Brute-force table isomorphism (small orders only)."""
+    return next(isomorphisms(t1, t2), None) is not None
+
+
+def automorphisms_by_permutations(table):
+    """The automorphism group by brute-force permutation search, sorted."""
+    return sorted(isomorphisms(table, table))
+
+
+def relabel(table, rng):
+    """An isomorphic copy under a seeded permutation that fixes index 0."""
+    from mgs.tables import FiniteGroupTable
+
+    n = table.order
+    rest = list(range(1, n))
+    rng.shuffle(rest)
+    perm = [0] + rest
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rows[perm[i]][perm[j]] = perm[table.rows[i][j]]
+    labels = [""] * n
+    for i in range(n):
+        labels[perm[i]] = table.labels[i]
+    return FiniteGroupTable(n, tuple(map(tuple, rows)), tuple(labels))
 
 
 def _partitions(n):

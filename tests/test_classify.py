@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,9 @@ from mgs.classify import (
     free_by_flip,
     reflection_index_set,
 )
+from mgs import classify
 from mgs.dihedral import GenDihedralGroup, is_generating_dih, materialize_table
+from mgs.tables import load_fixture
 from mgs.topology import MarkedGroup, agreement_radius
 
 
@@ -64,6 +67,47 @@ def test_enumerate_markings_family_i_sets():
     for n in range(3, 11):
         classes = enumerate_markings(dihedral_table(n), 2)
         assert sorted(sorted(c.involutions) for c in classes) == [[1], [1, 2], [2]]
+
+
+def generates(rows, tup):
+    """Whether the entries of tup generate the whole table, by breadth-first search."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for g in tup:
+            if rows[x][g] not in seen:
+                seen.add(rows[x][g])
+                frontier.append(rows[x][g])
+    return len(seen) == len(rows)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("name", ["D2", "D4", "D6", "D8", "D10", "D12", "Q8", "A4"])
+def test_enumerate_markings_orbits_count_the_generating_tuples(name, arity):
+    table = load_fixture(name)
+    classes = enumerate_markings(table, arity)
+    expected = sum(
+        1 for tup in product(range(table.order), repeat=arity) if generates(table.rows, tup)
+    )
+    assert sum(c.orbit_size for c in classes) == expected
+    reps = [c.representative for c in classes]
+    assert reps == sorted(reps) and all(generates(table.rows, rep) for rep in reps)
+
+
+def test_enumerate_markings_searches_automorphisms_only_once_a_tuple_generates(monkeypatch):
+    def unused(table):
+        raise AssertionError("automorphisms searched although no tuple generates")
+
+    monkeypatch.setattr(classify, "automorphism_group", unused)
+    # Dih(Z/4 x Z/4) needs three generators
+    assert enumerate_markings(load_fixture("DihZ4xZ4"), 2) == []
+
+
+def test_enumerate_markings_checks_the_automorphism_bound_up_front():
+    table = materialize_table(GenDihedralGroup(AbelianGroup(0, (51,))))
+    message = "order 102 exceeds the automorphism search bound 100"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        enumerate_markings(table, 1)
 
 
 def test_enumerate_markings_budget():

@@ -247,6 +247,11 @@ def test_converge_and_closure_map_take_an_a_dot_dot_b_range(capsys):
         (["dist", "D6:a,b", "Dih(Z^2):a,b,c"], 1),
         (["check", "forall x : " + "(" * 400 + "x" + ")" * 400 + " = 1", "--in", "D6"], 2),
         (["check", "@P1", "--in", "Dih(Z/1000000000000)"], 1),
+        (
+            ["check", "forall " + " ".join(f"x{i}" for i in range(1, 1201)) + " : x1 = x1200"]
+            + ["--in", "Z/1"],
+            1,
+        ),
         (["recognize", "Dih(Z/1000000000000)"], 1),
         (["classify", "Dih(Z/1000000000000)"], 1),
         (["classify", "D12", "--arity", "1000000000"], 1),
@@ -268,6 +273,7 @@ def test_converge_and_closure_map_take_an_a_dot_dot_b_range(capsys):
         "arities",
         "deep-nesting",
         "huge-table-check",
+        "many-variables",
         "huge-table-recognize",
         "huge-table-classify",
         "huge-arity-classify",

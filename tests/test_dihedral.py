@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from mgs.dihedral import (
 )
 from mgs.words import free_reduce
 
-from helpers import closure_of_elements
+from helpers import abelian_groups_up_to, closure_of_elements
 
 D12 = GenDihedralGroup(AbelianGroup(0, (6,)))
 DINF = GenDihedralGroup(AbelianGroup(1))
@@ -145,6 +146,16 @@ def test_materialize_refuses_by_order_before_listing_elements(monkeypatch):
     for group in (GenDihedralGroup(AbelianGroup(0, (300,))), AbelianGroup(0, (600,))):
         with pytest.raises(ValueError, match=r"^group order 600 exceeds the cap of 512$"):
             materialize_table(group)
+
+
+def test_materialize_matches_the_table_of_the_elements():
+    for base in abelian_groups_up_to(32):
+        for group, op in ((base, operator.add), (GenDihedralGroup(base), operator.mul)):
+            elems = list(group.elements())
+            index = {x: i for i, x in enumerate(elems)}
+            table = materialize_table(group)
+            assert table.rows == tuple(tuple(index[op(x, y)] for y in elems) for x in elems)
+            assert table.labels == tuple(str(x) for x in elems)
 
 
 def test_abelian_iff_exponent_two():

@@ -103,6 +103,18 @@ def test_budget():
         holds_in(t, builtin_sentence("P3"), budget=1000)
 
 
+def test_variable_count_is_bounded_before_the_search():
+    trivial = materialize_table(AbelianGroup(0, ()))
+
+    def first_equals_last(k):
+        return UniversalSentence(k, Atom(free_reduce([1], k), free_reduce([k], k), True))
+
+    assert holds_in(trivial, first_equals_last(500)).holds
+    message = "501 variables exceed the sentence check bound of 500"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        holds_in(trivial, first_equals_last(501))
+
+
 def test_squared_commutativity_in_d16():
     commute = UniversalSentence(
         2, Atom(free_reduce([1, 2], 2), free_reduce([2, 1], 2), True)

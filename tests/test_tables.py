@@ -1,7 +1,10 @@
 import math
 import os
+import random
+import re
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -20,7 +23,22 @@ from mgs.tables import (
     validate_table,
 )
 
-from helpers import abelian_groups_up_to
+from helpers import abelian_groups_up_to, automorphisms_by_permutations, relabel
+
+FIXTURES = (
+    "A4", "D2", "D4", "D6", "D8", "D10", "D12", "D14", "D16", "D18", "D20", "D22", "D24",
+    "DihZ4xZ4", "Q8",
+)
+
+
+def groups_up_to(order):
+    """Tables of the abelian groups and the Dih(A) of at most this order."""
+    out = []
+    for base in abelian_groups_up_to(order):
+        for group in (base, GenDihedralGroup(base)):
+            if group.order() <= order:
+                out.append(materialize_table(group))
+    return out
 
 
 def cyclic_table(n):
@@ -47,13 +65,64 @@ def test_validate_detects_bad_identity():
 
 
 def test_validate_detects_associativity():
-    # Latin square with identity row/column that is not a group:
-    # swap two entries inside the lower-right block of Z/5's table
+    # swapping two entries in rows 2 and 3 of Z/5's table breaks column 3
+    # before associativity is reached
     rows = cyclic_table(5)
     rows[2][3], rows[2][4] = rows[2][4], rows[2][3]
     rows[3][3], rows[3][4] = rows[3][4], rows[3][3]
-    with pytest.raises(TableError):
+    with pytest.raises(TableError, match=r"^column 3 is not a permutation$"):
         validate_table(rows)
+    # a Latin square with identity row/column that is not a group: swap the
+    # intercalate on rows and columns {1, 4} of Z/6's table (entries 2 and 5)
+    rows = cyclic_table(6)
+    rows[1][1], rows[1][4] = rows[1][4], rows[1][1]
+    rows[4][1], rows[4][4] = rows[4][4], rows[4][1]
+    message = "associativity fails at (1,1,2): (1*1)*2 != 1*(1*2)"
+    with pytest.raises(TableError, match=f"^{re.escape(message)}$"):
+        validate_table(rows)
+
+
+def first_nonassociative_message(rows):
+    """The message of the plain (a,b,c) scan, or None for an associative table."""
+    n = len(rows)
+    for a, b, c in product(range(n), repeat=3):
+        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+            return f"associativity fails at ({a},{b},{c}): ({a}*{b})*{c} != {a}*({b}*{c})"
+    return None
+
+
+def intercalates(rows):
+    """2x2 subsquares away from the identity whose entries are not 0."""
+    n = len(rows)
+    for r1, r2 in product(range(1, n), repeat=2):
+        for c1, c2 in product(range(1, n), repeat=2):
+            if r1 < r2 and c1 < c2:
+                a, b = rows[r1][c1], rows[r1][c2]
+                if rows[r2][c2] == a and rows[r2][c1] == b and 0 not in (a, b):
+                    yield r1, r2, c1, c2
+
+
+def test_validate_names_the_first_failing_triple_of_swapped_intercalates():
+    # a swapped intercalate keeps the identity, the Latin property and the
+    # inverses, so validation reaches the associativity decision
+    rng = random.Random(12)
+    failing = 0
+    for group in groups_up_to(12) + [load_fixture("Q8"), load_fixture("A4")]:
+        table = relabel(group, rng)
+        found = list(intercalates(table.rows))
+        for r1, r2, c1, c2 in rng.sample(found, min(4, len(found))):
+            rows = [list(row) for row in table.rows]
+            rows[r1][c1], rows[r1][c2] = rows[r1][c2], rows[r1][c1]
+            rows[r2][c1], rows[r2][c2] = rows[r2][c2], rows[r2][c1]
+            expected = first_nonassociative_message(rows)
+            if expected is None:
+                assert validate_table(rows).rows == tuple(map(tuple, rows))
+                continue
+            failing += 1
+            with pytest.raises(TableError) as info:
+                validate_table(rows)
+            assert str(info.value) == expected
+    assert failing >= 50
 
 
 def test_validate_assoc_bound():
@@ -169,6 +238,61 @@ def test_automorphism_bound():
         automorphism_group(t)
 
 
+def test_automorphisms_match_the_permutation_search_up_to_order_6():
+    # every group of order <= 6 is abelian or Dih(Z/3)
+    rng = random.Random(6)
+    for group in groups_up_to(6):
+        for table in (group, relabel(group, rng)):
+            assert automorphism_group(table) == automorphisms_by_permutations(table)
+
+
+def automorphisms_by_full_check(table):
+    """The search with an n^2 homomorphism check on every bijective candidate.
+
+    Generators are picked by descending element order; every element is
+    reached by a stored word in them, and each candidate is extended
+    along those words.
+    """
+    n = table.order
+    rows = table.rows
+    orders = [table.element_order(i) for i in range(n)]
+    gens, reached = [], {0}
+    for x in sorted(range(1, n), key=lambda i: (-orders[i], i)):
+        if x not in reached:
+            gens.append(x)
+            reached = table.closure(gens)
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop(0)
+        for gi, g in enumerate(gens):
+            if rows[x][g] not in words:
+                words[rows[x][g]] = words[x] + (gi,)
+                frontier.append(rows[x][g])
+    pools = [[x for x in range(n) if orders[x] == orders[g]] for g in gens]
+    found = []
+    for images in product(*pools):
+        phi = [0] * n
+        for y, word in words.items():
+            for gi in word:
+                phi[y] = rows[phi[y]][images[gi]]
+        if len(set(phi)) == n and all(
+            phi[rows[a][b]] == rows[phi[a]][phi[b]] for a in range(n) for b in range(n)
+        ):
+            found.append(tuple(phi))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_automorphisms_match_the_full_check_on_tables_and_relabelings(seed):
+    # the abelian groups include Z/2 x Z/6, where leaving out the edges of
+    # one generator admits bijections that are not homomorphisms
+    rng = random.Random(seed)
+    for group in [load_fixture(name) for name in FIXTURES] + groups_up_to(12):
+        for table in (group, relabel(group, rng)):
+            assert automorphism_group(table) == automorphisms_by_full_check(table)
+
+
 def test_abelian_invariants_recovery():
     for group in abelian_groups_up_to(24):
         t = materialize_table(group)
@@ -194,7 +318,7 @@ def test_recognize_a4():
 
 
 def test_recognize_all_small_bases():
-    for base in abelian_groups_up_to(12):
+    for base in abelian_groups_up_to(16):
         g = GenDihedralGroup(base)
         t = materialize_table(g)
         out = recognize_generalized_dihedral(t)
