@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .abelian import AbelianGroup, _identity_matrix, determinant, matmul, matvec
+from .abelian import AbelianGroup, _identity_matrix, determinant, matmul, matvec, smith_normal_form
 from .dihedral import GenDihedralElement, GenDihedralGroup, is_generating_dih
 from .tables import FiniteGroupTable, automorphism_group, check_automorphism_bound
 
@@ -38,29 +38,6 @@ def reflection_index_set(gens: Sequence[GenDihedralElement]) -> frozenset[int]:
 
 # ---------------------------------------------------------------------------
 # Automorphisms of Z^(m-1) x| Z/2
-
-
-def _mat_inverse_unimodular(a):
-    """Inverse of an integer matrix with determinant +-1 (adjugate)."""
-    n = len(a)
-    det = determinant(a)
-    if abs(det) != 1:
-        raise ValueError("matrix is not unimodular")
-    if n == 0:
-        return ()
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            row.append(((-1) ** (i + j)) * determinant(minor))
-        cof.append(row)
-    # adjugate transpose over det
-    return tuple(
-        tuple(cof[j][i] * det for j in range(n)) for i in range(n)
-    )
 
 
 @dataclass(frozen=True)
@@ -114,7 +91,9 @@ class DihAutomorphism:
         )
 
     def inverse(self) -> "DihAutomorphism":
-        inv = _mat_inverse_unimodular(self.matrix)
+        # U M V = I for a unimodular M, so M^-1 = V U
+        u, _, v = smith_normal_form(self.matrix)
+        inv = matmul(v, u)
         return DihAutomorphism(
             tuple(-a for a in matvec(inv, self.translation)), inv
         )

@@ -25,10 +25,25 @@ def _print(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _as_table(arg: str) -> tables.FiniteGroupTable:
+def _structure(arg: str):
+    """(name, group) of a table file, else of a DSL group, else of a shipped
+    fixture; the name is the argument, but the printed group for the DSL."""
     if os.path.exists(arg):
-        return tables.load_table(arg)
-    return materialize_table(dsl.parse_group(arg))
+        return arg, tables.load_table(arg)
+    try:
+        group = dsl.parse_group(arg)
+    except dsl.ParseError:
+        if arg.isalnum():  # fixture names are plain names, never paths
+            try:
+                return arg, tables.load_fixture(arg)
+            except FileNotFoundError:
+                pass
+        raise
+    return str(group), group
+
+
+def _table(group) -> tables.FiniteGroupTable:
+    return group if isinstance(group, tables.FiniteGroupTable) else materialize_table(group)
 
 
 def _range(text: str) -> range:
@@ -104,41 +119,29 @@ def cmd_limit_check(args) -> int:
 
 def cmd_residual(args) -> int:
     group = dsl.parse_group(args.group)
+    elements = dsl.parse_elements(args.kill, group)
+    payload = {"group": str(group)}
     if isinstance(group, GenDihedralGroup):
-        elements = dsl.parse_elements(args.kill, group)
         witness = topology.dihedral_residual_witness(group, elements)
-        _print(
-            {
-                "group": str(group),
-                "target": str(witness.target),
-                "half_order": witness.half_order,
-                "modulus": witness.quotient.modulus,
-                "free_multipliers": list(witness.quotient.free_multipliers),
-                "torsion_multipliers": list(witness.quotient.torsion_multipliers),
-                "images": {
-                    str(x): str(witness.apply(x)) for x in elements
-                },
-            }
-        )
+        quotient, image = witness.quotient, lambda x: str(witness.apply(x))
+        payload.update(target=str(witness.target), half_order=witness.half_order)
     else:
-        elements = dsl.parse_elements(args.kill, group)
         quotient = cyclic_residual_quotient(group, elements)
-        _print(
-            {
-                "group": str(group),
-                "target": str(quotient.target_group()),
-                "modulus": quotient.modulus,
-                "free_multipliers": list(quotient.free_multipliers),
-                "torsion_multipliers": list(quotient.torsion_multipliers),
-                "images": {str(x): quotient.apply(x) for x in elements},
-            }
-        )
+        image = quotient.apply
+        payload["target"] = str(quotient.target_group())
+    payload.update(
+        modulus=quotient.modulus,
+        free_multipliers=list(quotient.free_multipliers),
+        torsion_multipliers=list(quotient.torsion_multipliers),
+        images={str(x): image(x) for x in elements},
+    )
+    _print(payload)
     return 0
 
 
 def cmd_check(args) -> int:
     sentence = dsl.parse_sentence(args.sentence)
-    table = _as_table(args.structure)
+    table = _table(_structure(args.structure)[1])
     result = logic.holds_in(table, sentence, budget=args.budget)
     _print(
         {
@@ -155,11 +158,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if os.path.exists(args.target):
-        structure, group = args.target, tables.load_table(args.target)
-    else:
-        group = dsl.parse_group(args.target)
-        structure = str(group)
+    structure, group = _structure(args.target)
     arity = args.arity
     if isinstance(group, GenDihedralGroup) and not group.base.invariant_factors:
         length = group.base.free_rank + 1
@@ -168,10 +167,8 @@ def cmd_classify(args) -> int:
         arity, classes = length, classify_mod.canonical_classes(length)
         count = classify_mod.count_marking_classes(length)
     else:
-        if not isinstance(group, tables.FiniteGroupTable):
-            group = materialize_table(group)
         arity = 2 if arity is None else arity
-        classes = classify_mod.enumerate_markings(group, arity)
+        classes = classify_mod.enumerate_markings(_table(group), arity)
         count = len(classes)
     _print(
         {
@@ -203,7 +200,7 @@ def cmd_closure_map(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    table = _as_table(args.target)
+    table = _table(_structure(args.target)[1])
     outcome = tables.recognize_generalized_dihedral(table)
     _print(
         {
@@ -291,14 +288,10 @@ def main(argv=None) -> int:
     try:
         active_ball_cap()  # a malformed MGS_BALL_CAP fails every command alike
         return args.func(args)
-    except dsl.ParseError as exc:
+    except (ValueError, TypeError, OSError) as exc:  # ParseError is a ValueError
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except (ValueError, TypeError, OSError) as exc:
-        json.dump({"error": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return 2 if isinstance(exc, dsl.ParseError) else 1
 
 
 if __name__ == "__main__":

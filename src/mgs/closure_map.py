@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .abelian import AbelianGroup
+from .abelian import canonical_invariant_factors
 from .classify import reflection_index_set
 from .dihedral import GenDihedralGroup
 from .topology import MarkedGroup, _compare
@@ -24,34 +24,15 @@ from .topology import MarkedGroup, _compare
 FAMILIES = ("A", "B", "Bbar")
 
 
-def _dihedral_group(n) -> GenDihedralGroup:
-    # n is a positive integer or None for the infinite group
-    if n is None:
-        return GenDihedralGroup(AbelianGroup(1, ()))
-    if n == 1:
-        return GenDihedralGroup(AbelianGroup(0, ()))
-    return GenDihedralGroup(AbelianGroup(0, (n,)))
-
-
 def family_marking(family: str, n) -> MarkedGroup:
     """The family-F marking of the dihedral group of order 2n (n=None: infinite)."""
-    g = _dihedral_group(n)
-    flip = g.reflection(g.base.identity())
-    if n is None:
-        unit = g.base.free_generator(0)
-    elif n == 1:
-        unit = g.base.identity()
-    else:
-        unit = g.base.torsion_generator(0)
-    if family == "A":
-        gens = (flip, g.reflection(unit))
-    elif family == "B":
-        gens = (flip, g.rotation(unit))
-    elif family == "Bbar":
-        gens = (g.rotation(unit), flip)
-    else:
+    g = GenDihedralGroup(canonical_invariant_factors([n]))
+    unit = g.base.from_coordinates([1] * g.base.rank)
+    flip, ref, rot = g.reflection(g.base.identity()), g.reflection(unit), g.rotation(unit)
+    families = {"A": (flip, ref), "B": (flip, rot), "Bbar": (rot, flip)}
+    if family not in families:
         raise ValueError(f"unknown family {family!r}")
-    return MarkedGroup(g, gens)
+    return MarkedGroup(g, families[family])
 
 
 @dataclass(frozen=True)
@@ -95,6 +76,7 @@ def emit_closure_map(n_range=range(3, 9), r_max: int = 8) -> tuple[str, str]:
         raise ValueError("the range must contain integers >= 3")
     nodes = _build_nodes(n_range)
     by_id = {node.node_id: node for node in nodes}
+    patterns = [sorted(reflection_index_set(node.marked.generators)) for node in nodes]
 
     edges = []
     for family in FAMILIES:
@@ -116,8 +98,7 @@ def emit_closure_map(n_range=range(3, 9), r_max: int = 8) -> tuple[str, str]:
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             a, b = nodes[i], nodes[j]
-            ia = sorted(reflection_index_set(a.marked.generators))
-            ib = sorted(reflection_index_set(b.marked.generators))
+            ia, ib = patterns[i], patterns[j]
             entry = {"pair": [a.node_id, b.node_id]}
             if ia != ib:
                 entry["certificate"] = "involution-pattern"
@@ -152,9 +133,9 @@ def emit_closure_map(n_range=range(3, 9), r_max: int = 8) -> tuple[str, str]:
                 "order": None
                 if node.kind == "limit"
                 else int(node.marked.group.order()),
-                "involutions": sorted(reflection_index_set(node.marked.generators)),
+                "involutions": pattern,
             }
-            for node in nodes
+            for node, pattern in zip(nodes, patterns)
         ],
         "edges": edges,
         "distinctness": certificates,

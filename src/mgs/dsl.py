@@ -305,9 +305,9 @@ class _Parser:
         return list(base) * abs(exp)
 
     def product(
-        self, indices: Callable[[str], list[int]], production: str, used: int = 0
+        self, indices: Callable[[_Token], list[int]], production: str, used: int = 0
     ) -> list[int]:
-        """The letters of a word or term, `indices` giving a name's letters:
+        """The letters of a word or term, `indices` giving a name token's letters:
         factors with optional '*', a leading 1, and in terms (x y)^n.  The
         enclosing products already hold `used` letters."""
         letters: list[int] = []
@@ -328,7 +328,7 @@ class _Parser:
                 letters += self.power(inner, production, used + len(letters))
             elif tok.kind == "name":
                 self.next()
-                *head, last = indices(tok.text)
+                *head, last = indices(tok)
                 letters += head
                 letters += self.power((last,), production, used + len(letters))
             else:
@@ -339,7 +339,7 @@ class _Parser:
         return letters
 
     def word(self, arity: int | None) -> Word:
-        letters = self.product(lambda name: _word_indices(name, self), "word")
+        letters = self.product(lambda tok: _word_indices(tok, self), "word")
         inferred = max((abs(l) for l in letters), default=0)
         if arity is None:
             arity = inferred
@@ -434,27 +434,27 @@ class _Parser:
         self.error("expected '=' or '!=' in an atom")
 
     def term(self, variables: list[str]) -> Word:
-        letters = self.product(lambda name: _variable_indices(name, variables, self), "term")
+        letters = self.product(lambda tok: _variable_indices(tok, variables, self), "term")
         return free_reduce(letters, len(variables))
 
 
-def _word_indices(name: str, parser: _Parser) -> list[int]:
-    m = re.fullmatch(r"g(\d+)", name)
+def _word_indices(tok: _Token, parser: _Parser) -> list[int]:
+    m = re.fullmatch(r"g(\d+)", tok.text)
     if m:
         if int(m.group(1)) < 1:
-            parser.error("generator indices are 1-based")
+            parser.error("generator indices are 1-based", tok)
         return [int(m.group(1))]
-    if not all(ch.islower() for ch in name):
-        parser.error(f"unknown generator {name!r}")
-    return [ord(ch) - ord("a") + 1 for ch in name]
+    if not all(ch.islower() for ch in tok.text):
+        parser.error(f"unknown generator {tok.text!r}", tok)
+    return [ord(ch) - ord("a") + 1 for ch in tok.text]
 
 
-def _variable_indices(name: str, variables: list[str], parser: _Parser) -> list[int]:
-    if name in variables:
-        return [variables.index(name) + 1]
-    if not all(ch in variables for ch in name):
-        parser.error(f"unknown variable {name!r}")
-    return [variables.index(ch) + 1 for ch in name]
+def _variable_indices(tok: _Token, variables: list[str], parser: _Parser) -> list[int]:
+    if tok.text in variables:
+        return [variables.index(tok.text) + 1]
+    if not all(ch in variables for ch in tok.text):
+        parser.error(f"unknown variable {tok.text!r}", tok)
+    return [variables.index(ch) + 1 for ch in tok.text]
 
 
 def _resolve_alias(name: str, group):

@@ -702,24 +702,23 @@ class AccumulationWitness:
     report: ConvergenceReport
 
 
-def _rotation_word_blocks(marked: MarkedGroup):
-    """Words over the marking that evaluate into the base group.
+def _rotation_word_blocks(parts):
+    """Words over a marking that evaluate into its base group.
 
-    For an abelian marking every generator already does; for a dihedral
-    marking the rotation entries do, and products of two reflections do.
-    Returns (letter tuples, base elements) pairs generating the base.
+    `parts` holds each generator's (base part, eps); an abelian marking
+    has eps = 0 throughout.  Rotation entries evaluate into the base, and
+    so do products of two reflections.  Returns (letter tuples, base
+    elements) pairs generating the base.
     """
-    if isinstance(marked.group, AbelianGroup):
-        return [((i + 1,), s) for i, s in enumerate(marked.generators)]
     blocks = []
     first_ref = None
-    for i, s in enumerate(marked.generators):
-        if s.eps == 0:
-            blocks.append(((i + 1,), s.v))
+    for i, (v, eps) in enumerate(parts):
+        if eps == 0:
+            blocks.append(((i + 1,), v))
         elif first_ref is None:
-            first_ref = (i, s)
+            first_ref = (i, v)
         else:
-            blocks.append(((i + 1, first_ref[0] + 1), s.v - first_ref[1].v))
+            blocks.append(((i + 1, first_ref[0] + 1), v - first_ref[1]))
     return blocks
 
 
@@ -735,9 +734,9 @@ def accumulation_witness(marked: MarkedGroup, count: int) -> AccumulationWitness
         raise ValueError("count must be positive")
     group = marked.group
     if isinstance(group, AbelianGroup):
-        base = group
+        base, parts = group, [(s, 0) for s in marked.generators]
     elif isinstance(group, GenDihedralGroup):
-        base = group.base
+        base, parts = group.base, [(s.v, s.eps) for s in marked.generators]
     else:
         raise TypeError("accumulation witnesses need an abelian or dihedral marking")
     if base.free_rank == 0:
@@ -755,18 +754,13 @@ def accumulation_witness(marked: MarkedGroup, count: int) -> AccumulationWitness
     for p in chosen:
         quotient, convert = _quotient_by_prime(base, p)
         if isinstance(group, AbelianGroup):
-            members.append(MarkedGroup(quotient, tuple(convert(s) for s in marked.generators)))
+            members.append(MarkedGroup(quotient, tuple(convert(v) for v, _ in parts)))
         else:
             dq = GenDihedralGroup(quotient)
-            members.append(
-                MarkedGroup(
-                    dq,
-                    tuple(dq.element(convert(s.v), s.eps) for s in marked.generators),
-                )
-            )
+            members.append(MarkedGroup(dq, tuple(dq.element(convert(v), eps) for v, eps in parts)))
 
     # a word evaluating to the collapsed free generator
-    blocks = _rotation_word_blocks(marked)
+    blocks = _rotation_word_blocks(parts)
     target_elem = base.free_generator(base.free_rank - 1)
     coeffs = express_in_generators(base, [b for _, b in blocks], target_elem)
     if coeffs is None:

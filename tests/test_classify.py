@@ -234,6 +234,57 @@ def test_composition_law():
         assert phi.compose(phi.inverse()) == DihAutomorphism.identity(3)
 
 
+def seeded_automorphism(rng, m):
+    """An automorphism of Z^(m-1) x| Z/2 drawn as the benchmark draws them: a
+    row permutation of an upper bidiagonal matrix with +-1 on both diagonals."""
+    n = m - 1
+    upper = [[0] * n for _ in range(n)]
+    for i in range(n):
+        upper[i][i] = rng.choice((1, -1))
+        if i + 1 < n:
+            upper[i][i + 1] = rng.choice((1, -1))
+    matrix = tuple(tuple(upper[i]) for i in rng.sample(range(n), n))
+    return DihAutomorphism(tuple(rng.randint(-3, 3) for _ in range(n)), matrix)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_inverse_is_two_sided(n):
+    rng = random.Random(n)
+    identity = DihAutomorphism.identity(n + 1)
+    for _ in range(20):
+        phi = seeded_automorphism(rng, n + 1).compose(seeded_automorphism(rng, n + 1))
+        assert phi.compose(phi.inverse()) == identity
+        assert phi.inverse().compose(phi) == identity
+
+
+# the witness is unique, so these are the only right answers
+EQUIVALENCE_WITNESSES = {
+    2: ((-1,), ((-1,),)),
+    3: ((-2, 4), ((0, -1), (-1, 0))),
+    4: ((-5, -3, 2), ((-1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    5: ((-3, -2, -8, 4), ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, -1, 2), (0, 0, 0, -1))),
+    6: (
+        (-2, 3, -5, 5, 5),
+        (
+            (-1, 0, 0, 0, 0),
+            (0, -2, 1, 2, -2),
+            (0, 1, 0, -2, 2),
+            (0, 0, 0, 0, 1),
+            (0, 0, 0, 1, 0),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("m", sorted(EQUIVALENCE_WITNESSES))
+def test_equivalence_witness_pinned(m):
+    rng = random.Random(m)
+    source = seeded_automorphism(rng, m).apply_tuple(canonical_marking(m, {1, m}))
+    target = seeded_automorphism(rng, m).apply_tuple(canonical_marking(m, {1, m}))
+    phi = decide_marking_equivalence(source, target)
+    assert (phi.translation, phi.matrix) == EQUIVALENCE_WITNESSES[m]
+
+
 def test_counts():
     assert count_marking_classes(2) == 3
     assert count_marking_classes(3) == 7

@@ -1,7 +1,10 @@
 import json
+import os
+import shlex
 
 import pytest
 
+from mgs import tables
 from mgs.cli import main
 from mgs.tables import dumps_text, load_fixture
 
@@ -78,21 +81,23 @@ def test_limit_check(capsys):
 
 def test_residual_dihedral(capsys):
     code, out, _ = run(capsys, "residual", "Dinf", "--kill", "rot(1),rot(2),ref(-1)")
-    payload = json.loads(out)
     assert code == 0
-    assert payload["half_order"] == 3
-    assert payload["target"] == "Dih(Z/3)"
-    assert payload["images"]["rot(1)"] == "rot(1)"
-    assert payload["images"]["ref(-1)"] == "ref(2)"
+    assert out == (
+        '{\n  "group": "Dih(Z)",\n  "target": "Dih(Z/3)",\n  "half_order": 3,\n'
+        '  "modulus": 3,\n  "free_multipliers": [\n    1\n  ],\n'
+        '  "torsion_multipliers": [],\n  "images": {\n    "rot(1)": "rot(1)",\n'
+        '    "rot(2)": "rot(2)",\n    "ref(-1)": "ref(2)"\n  }\n}\n'
+    )
 
 
 def test_residual_abelian(capsys):
     code, out, _ = run(capsys, "residual", "Z^2", "--kill", "(1,0),(0,2),(3,3)")
-    payload = json.loads(out)
     assert code == 0
-    assert payload["modulus"] == 35
-    assert payload["free_multipliers"] == [7, 5]
-    assert list(payload["images"].values()) == [7, 10, 1]
+    assert out == (
+        '{\n  "group": "Z^2",\n  "target": "Z/35",\n  "modulus": 35,\n'
+        '  "free_multipliers": [\n    7,\n    5\n  ],\n  "torsion_multipliers": [],\n'
+        '  "images": {\n    "(1,0)": 7,\n    "(0,2)": 10,\n    "(3,3)": 1\n  }\n}\n'
+    )
 
 
 def test_check_builtin(capsys):
@@ -118,6 +123,7 @@ def test_classify_table(capsys):
     code, out, _ = run(capsys, "classify", "D12", "--arity", "2")
     payload = json.loads(out)
     assert code == 0
+    assert payload["structure"] == "Dih(Z/6)"  # the DSL comes before the D12 fixture
     assert payload["count"] == 3
     assert sorted(tuple(c["I"]) for c in payload["classes"]) == [(1,), (1, 2), (2,)]
 
@@ -195,6 +201,51 @@ def test_recognize_fixture_file(tmp_path, capsys):
     code, out, _ = run(capsys, "recognize", str(path))
     payload = json.loads(out)
     assert code == 0 and payload["kind"] == "no"
+
+
+def test_shipped_fixtures_are_reachable_by_name(capsys):
+    _, by_name, _ = run(capsys, "classify", "DihZ4xZ4", "--arity", "3")
+    _, by_group, _ = run(capsys, "classify", "Dih(Z/4 x Z/4)", "--arity", "3")
+    assert json.loads(by_name)["count"] == 7
+    assert json.loads(by_name)["classes"] == json.loads(by_group)["classes"]
+    q8_path = os.path.join(os.path.dirname(tables.__file__), "fixtures", "Q8.txt")
+    for structure in ("Q8", q8_path):
+        code, out, _ = run(capsys, "check", "@P1", "--in", structure)
+        assert code == 0 and json.loads(out)["counterexample"] == ["g2", "g4"]
+    code, out, _ = run(capsys, "recognize", "A4")
+    assert code == 0 and json.loads(out)["kind"] == "no"
+
+
+def test_unknown_names_keep_the_parse_error(capsys):
+    code, out, err = run(capsys, "classify", "Nope")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "unknown group name 'Nope' (line 1, column 1)"}
+    # a fixture is looked up by name only, never by a path relative to the fixtures
+    code, out, err = run(capsys, "recognize", "../__init__.py")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "unexpected character '.' (line 1, column 1)"}
+
+
+def readme_commands():
+    """The `mgs ...` lines of the README's CLI block, with `[--dot]` both ways."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[-1] == "[--dot]":
+            yield argv[1:-1]
+            argv[-1] = "--dot"
+        yield argv[1:]
+
+
+def test_readme_commands_answer(capsys):
+    commands = list(readme_commands())
+    assert len(commands) == 12
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out
 
 
 def test_parse_error_exit_code(capsys):

@@ -48,6 +48,16 @@ def test_inverse_and_order():
     assert D12.rotation([1]) * D12.rotation([2]) == D12.rotation([3])
 
 
+@pytest.mark.parametrize("group", [D12, DINF], ids=["D12", "Dinf"])
+def test_power_matches_repeated_products(group):
+    for x in (group.rotation([1]), group.rotation([-2]), group.reflection([1])):
+        for n in range(-3, 4):
+            expected = group.identity()
+            for _ in range(abs(n)):
+                expected = expected * (x if n > 0 else x.inverse())
+            assert x ** n == expected
+
+
 def test_rotations_commute():
     for v in range(6):
         for w in range(6):

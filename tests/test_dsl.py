@@ -189,6 +189,22 @@ def test_running_length_over_the_word_cap_is_a_parse_error(monkeypatch):
     assert exc.value.column == 23
 
 
+@pytest.mark.parametrize(
+    "parse, text, position",
+    [
+        (parse_sentence, "forall x : x*q = 1", (1, 14)),
+        (parse_word, "g1*G2", (1, 4)),
+        (parse_word, "g0", (1, 1)),
+        (parse_sentence, "forall x y :\n  x*y = y*x &\n  x*q = 1", (3, 5)),
+    ],
+    ids=["variable", "generator", "zero-index", "third-line"],
+)
+def test_unknown_names_are_reported_at_the_name(parse, text, position):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == position
+
+
 def nested(depth, open_, inner, close):
     return open_ * depth + inner + close * depth
 

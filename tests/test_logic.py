@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mgs.abelian import AbelianGroup
 from mgs.dihedral import GenDihedralGroup, materialize_table
+from mgs.dsl import parse_sentence, print_sentence
 from mgs.logic import (
     And,
     Atom,
@@ -123,6 +124,14 @@ def test_squared_commutativity_in_d16():
     d16 = dihedral_table(8)
     assert not holds_in(d16, commute).holds
     assert holds_in(d16, sq).holds
+
+
+def test_squared_sentence_squares_through_every_connective():
+    sq = squared_sentence(builtin_sentence("P1"))
+    assert print_sentence(sq) == "forall x y : x^4 != 1 & y^4 != 1 -> x^2*y^2 = y^2*x^2"
+    assert holds_in(dihedral_table(4), sq).holds
+    sq = squared_sentence(parse_sentence("forall x y : !x = 1 | x*y = y*x"))
+    assert sq == parse_sentence("forall x y : !x^2 = 1 | x^2*y^2 = y^2*x^2")
 
 
 def test_squared_tautology_is_tautology():

@@ -163,6 +163,15 @@ def test_fixture_a4_and_q8_are_valid():
     assert sorted(q8.element_order(i) for i in range(8)) == [1, 2] + [4] * 6
 
 
+def test_power_takes_negative_exponents():
+    q8 = load_fixture("Q8")
+    for i in range(q8.order):
+        expected = 0
+        for n in range(-1, -6, -1):
+            expected = q8.rows[expected][q8.inv(i)]
+            assert q8.power(i, n) == expected
+
+
 def test_fixtures_load_by_name_or_file_name():
     assert load_fixture("Q8.txt").rows == load_fixture("Q8").rows
     assert load_fixture("D6.json").rows == load_fixture("D6").rows

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mgs.abelian import AbelianGroup, canonical_invariant_factors
 from mgs.dihedral import GenDihedralGroup
+from mgs.dsl import parse_marked
 from mgs.tables import load_fixture
 from mgs.topology import (
     FamilyError,
@@ -420,6 +421,23 @@ def test_accumulation_witness_mixed_base():
     assert [m.group.base.invariant_factors for m in aw.members] == [(6,), (10,), (14,)]
     radii = aw.report.radii
     assert all(a < b for a, b in zip(radii, radii[1:]))
+
+
+@pytest.mark.parametrize(
+    "text, count, primes, radii, separator",
+    [
+        # two reflections: the second one enters through a two-letter block
+        ("Dih(Z):ref(0),ref(1)", 3, (3, 5, 7), (5, 6, 6), "g2*g1*g2*g1*g2*g1"),
+        ("Dih(Z^2):ref(0,0),ref(1,0),ref(0,1)", 2, (3, 5), (4, 4), "g3*g1*g3*g1*g3*g1"),
+        # a negative coefficient inverts its block
+        ("Z:(-1)", 2, (3, 5), (2, 4), "g1^-3"),
+    ],
+)
+def test_accumulation_witness_pinned(text, count, primes, radii, separator):
+    aw = accumulation_witness(parse_marked(text), count)
+    assert aw.primes == primes
+    assert aw.report.radii == radii
+    assert str(aw.separators[(0, 1)]) == separator
 
 
 def test_accumulation_witness_isolated():
