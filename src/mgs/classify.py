@@ -15,7 +15,7 @@ from itertools import product
 from typing import Sequence
 
 from .abelian import AbelianGroup, _identity_matrix, determinant, matmul, matvec, smith_normal_form
-from .dihedral import GenDihedralElement, GenDihedralGroup, is_generating_dih
+from .dihedral import GenDihedralElement, GenDihedralGroup, _base_blocks, is_generating_dih
 from .tables import FiniteGroupTable, automorphism_group, check_automorphism_bound
 
 ENUMERATION_BUDGET = 10_000_000
@@ -136,28 +136,16 @@ def canonical_marking(arity: int, pattern) -> tuple[GenDihedralElement, ...]:
 
 
 def _basis_automorphism(gens: Sequence[GenDihedralElement]) -> DihAutomorphism:
-    """The automorphism taking the canonical marking of I(gens) to gens.
+    """The automorphism taking a fixed marking of pattern I(gens) to gens.
 
-    Columns are read off the tuple: rotation parts in position order,
-    then differences of the reflection parts from the first reflection;
-    the translation is the first reflection's part.
+    Column k is the value of the k-th base block of the tuple, and the
+    translation is the first reflection's part.  The fixed marking has
+    the plain flip at the first reflection and, at the entry that opens
+    the k-th block, a rotation or reflection by the k-th basis vector.
     """
-    rot_cols = []
-    ref_cols = []
-    first_ref = None
-    for g in gens:
-        if g.eps == 0:
-            rot_cols.append(g.v.free)
-        elif first_ref is None:
-            first_ref = g.v.free
-        else:
-            ref_cols.append(tuple(a - b for a, b in zip(g.v.free, first_ref)))
-    if first_ref is None:
-        raise ValueError("tuple contains no reflection")
-    cols = rot_cols + ref_cols
-    n = len(cols)
-    matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return DihAutomorphism(first_ref, matrix)
+    translation = next(g.v.free for g in gens if g.eps)
+    cols = [v.free for _, v in _base_blocks([(g.v, g.eps) for g in gens])]
+    return DihAutomorphism(translation, tuple(zip(*cols)))
 
 
 def decide_marking_equivalence(

@@ -165,16 +165,14 @@ def cmd_classify(args) -> int:
         if arity not in (None, length):
             raise ValueError(f"markings of {group} have length {length}, not {arity}")
         arity, classes = length, classify_mod.canonical_classes(length)
-        count = classify_mod.count_marking_classes(length)
     else:
         arity = 2 if arity is None else arity
         classes = classify_mod.enumerate_markings(_table(group), arity)
-        count = len(classes)
     _print(
         {
             "structure": structure,
             "arity": arity,
-            "count": count,
+            "count": len(classes),
             "classes": [c.to_json() for c in classes],
         }
     )

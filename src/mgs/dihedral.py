@@ -121,6 +121,27 @@ def evaluate_word(
     return out
 
 
+def _base_blocks(parts):
+    """Words over a marking that evaluate into its base group.
+
+    `parts` holds each generator's (base part, eps); an abelian marking
+    has eps = 0 throughout.  Rotation entries evaluate into the base, and
+    so does each later reflection times the first.  Returns (letter
+    tuple, base element) pairs in position order; they generate the base
+    exactly when the marking generates its group.
+    """
+    blocks = []
+    first_ref = None
+    for i, (v, eps) in enumerate(parts):
+        if eps == 0:
+            blocks.append(((i + 1,), v))
+        elif first_ref is None:
+            first_ref = (i, v)
+        else:
+            blocks.append(((i + 1, first_ref[0] + 1), v - first_ref[1]))
+    return blocks
+
+
 def is_generating_dih(group: GenDihedralGroup, gens: Sequence[GenDihedralElement]) -> bool:
     """Exact generation test.
 
@@ -131,13 +152,8 @@ def is_generating_dih(group: GenDihedralGroup, gens: Sequence[GenDihedralElement
     for g in gens:
         if g.group != group:
             raise ValueError("generator does not belong to the given group")
-    reflections = [g for g in gens if g.eps == 1]
-    if not reflections:
-        return False
-    w0 = reflections[0].v
-    base_gens = [g.v for g in gens if g.eps == 0]
-    base_gens.extend(g.v - w0 for g in reflections[1:])
-    return generates_full(group.base, base_gens)
+    blocks = _base_blocks([(g.v, g.eps) for g in gens])
+    return any(g.eps for g in gens) and generates_full(group.base, [v for _, v in blocks])
 
 
 def materialize_table(group):

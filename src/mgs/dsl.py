@@ -113,8 +113,8 @@ class _Parser:
         self.depth = 0
         self._cap: int | None = None
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]

@@ -246,6 +246,8 @@ def load_table(path) -> FiniteGroupTable:
 
 def load_fixture(name: str) -> FiniteGroupTable:
     # a plain path: importlib.resources imports about 1.5 MB of modules
+    if name in ("", ".", "..") or name != os.path.basename(name):
+        raise FileNotFoundError(f"no fixture named {name!r}")
     root = os.path.join(os.path.dirname(__file__), "fixtures")
     for suffix in ("", ".json", ".txt"):
         path = os.path.join(root, name + suffix)

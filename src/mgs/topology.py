@@ -7,13 +7,15 @@ relation balls induces the metric 2^-(R+1); everything here (distances,
 convergence reports, accumulation witnesses) is phrased in terms of
 exactly computed balls.
 
-Two comparison routes are implemented, both on one flat form: each
-marking is compiled once per comparison into plain integers (`_Flat`).
-The generic route enumerates reduced words outright.  For abelian and
-generalized dihedral markings a word's value depends only on its net
-letter contributions, so balls can be compared through small integer
-profile vectors instead, each tested by one dot product per base
-coordinate; both routes return identical radii, and the enumeration
+An abelian or Dih(A) marking is read through its base view (`_parts`):
+the base group and each entry's base part and eps bit.  Two comparison
+routes are implemented, and each compiles a marking once per comparison
+into plain integers.  The generic route enumerates reduced words
+outright on the multiplication of `_ops`.  For abelian and generalized
+dihedral markings a word's value depends only on its net letter
+contributions, so balls can be compared through small integer profile
+vectors instead, each tested by one dot product per base coordinate
+(`_columns`); both routes return identical radii, and the enumeration
 route doubles as the test oracle for the profile route.
 """
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 from typing import Iterable, Sequence, Union
 
 from .abelian import (
@@ -38,6 +40,7 @@ from .abelian import (
 from .dihedral import (
     GenDihedralElement,
     GenDihedralGroup,
+    _base_blocks,
     evaluate_word,
     is_generating_dih,
 )
@@ -66,28 +69,23 @@ class MarkedGroup:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        g = self.group
-        S = self.generators
-        if isinstance(g, AbelianGroup):
-            for x in S:
-                if not isinstance(x, AbelianElement) or x.group != g:
-                    raise ValueError("marking entries must be elements of the group")
-            if not generates_full(g, S):
-                raise NotGenerating(f"tuple does not generate {g}")
-        elif isinstance(g, GenDihedralGroup):
-            for x in S:
-                if not isinstance(x, GenDihedralElement) or x.group != g:
-                    raise ValueError("marking entries must be elements of the group")
-            if not is_generating_dih(g, S):
-                raise NotGenerating(f"tuple does not generate {g}")
-        elif isinstance(g, FiniteGroupTable):
+        g, S = self.group, self.generators
+        if isinstance(g, FiniteGroupTable):
             for x in S:
                 if not isinstance(x, int) or not 0 <= x < g.order:
                     raise ValueError("marking entries must be element indices")
             if len(g.closure(S)) != g.order:
                 raise NotGenerating("tuple does not generate the table group")
-        else:
+            return
+        abelian = isinstance(g, AbelianGroup)
+        if not abelian and not isinstance(g, GenDihedralGroup):
             raise TypeError(f"unsupported group kind {type(g).__name__}")
+        kind = AbelianElement if abelian else GenDihedralElement
+        for x in S:
+            if not isinstance(x, kind) or x.group != g:
+                raise ValueError("marking entries must be elements of the group")
+        if not (generates_full(g, S) if abelian else is_generating_dih(g, S)):
+            raise NotGenerating(f"tuple does not generate {g}")
 
     @property
     def arity(self) -> int:
@@ -163,68 +161,72 @@ class RelationBall:
         }
 
 
-class _Flat:
-    """A marking compiled once to flat integers.
+def _parts(marked: MarkedGroup):
+    """(base, [(base part, eps)]) of an abelian or Dih(A) marking, with
+    eps 0 throughout for an abelian group; None for a table marking."""
+    g = marked.group
+    if isinstance(g, AbelianGroup):
+        return g, [(s, 0) for s in marked.generators]
+    if isinstance(g, GenDihedralGroup):
+        return g.base, [(s.v, s.eps) for s in marked.generators]
+    return None
 
-    A table marking keeps its Cayley rows and letter values (element
-    indices).  An abelian or Dih(A) marking keeps the base's moduli (None
-    for a free coordinate, which is never reduced) and each generator's
-    coordinate tuple and eps bit (0 throughout for an abelian group).
+
+def _ops(marked: MarkedGroup):
+    """(identity, mul, letter -> value) on flat integers, as walk_ball takes it.
+
+    A table marking multiplies element indices through its Cayley rows.
+    An abelian marking multiplies coordinate tuples, a Dih(A) marking
+    (coordinates, eps) pairs; the modulus of a free coordinate is None,
+    and it is never reduced.
     """
+    g, S = marked.group, marked.generators
+    if isinstance(g, FiniteGroupTable):
+        rows = g.rows
+        letters = {i: s for i, s in enumerate(S, start=1)}
+        letters.update({-i: g.inv(s) for i, s in enumerate(S, start=1)})
+        return 0, (lambda a, b: rows[a][b]), letters
+    base, parts = _parts(marked)
+    dihedral = isinstance(g, GenDihedralGroup)
+    moduli = (None,) * base.free_rank + base.invariant_factors
 
-    def __init__(self, marked: MarkedGroup):
-        g, S = marked.group, marked.generators
-        self.dihedral = isinstance(g, GenDihedralGroup)
-        if isinstance(g, FiniteGroupTable):
-            self.rows = g.rows
-            self.letters = {i: s for i, s in enumerate(S, start=1)}
-            self.letters.update({-i: g.inv(s) for i, s in enumerate(S, start=1)})
-            return
-        self.rows = None
-        base = g.base if self.dihedral else g
-        self.moduli = (None,) * base.free_rank + base.invariant_factors
-        parts = [(s.v, s.eps) for s in S] if self.dihedral else [(s, 0) for s in S]
-        self.gens = tuple((v.coordinates(), e) for v, e in parts)
+    def mul(a, b):
+        return tuple(
+            (x + y) if m is None else (x + y) % m
+            for x, y, m in zip(a, b, moduli)
+        )
 
-    def ops(self):
-        """(identity, mul, letter -> value), as walk_ball takes it."""
-        if self.rows is not None:
-            rows = self.rows
-            return 0, (lambda a, b: rows[a][b]), self.letters
-        moduli = self.moduli
-
-        def mul(a, b):
-            return tuple(
+    def dmul(a, b):
+        (va, ea), (vb, eb) = a, b
+        if ea:
+            vb = tuple(-x for x in vb)
+        return (
+            tuple(
                 (x + y) if m is None else (x + y) % m
-                for x, y, m in zip(a, b, moduli)
-            )
+                for x, y, m in zip(va, vb, moduli)
+            ),
+            ea ^ eb,
+        )
 
-        def dmul(a, b):
-            (va, ea), (vb, eb) = a, b
-            if ea:
-                vb = tuple(-x for x in vb)
-            return (
-                tuple(
-                    (x + y) if m is None else (x + y) % m
-                    for x, y, m in zip(va, vb, moduli)
-                ),
-                ea ^ eb,
-            )
+    identity = (0,) * len(moduli)
+    values = {}
+    for i, (v, e) in enumerate(parts, start=1):
+        v = v.coordinates()
+        inv = v if e else tuple(-x if m is None else -x % m for x, m in zip(v, moduli))
+        values[i], values[-i] = ((v, e), (inv, e)) if dihedral else (v, inv)
+    if dihedral:
+        return (identity, 0), dmul, values
+    return identity, mul, values
 
-        identity = (0,) * len(moduli)
-        values = {}
-        for i, (v, e) in enumerate(self.gens, start=1):
-            inv = v if e else tuple(-x if m is None else -x % m for x, m in zip(v, moduli))
-            values[i], values[-i] = ((v, e), (inv, e)) if self.dihedral else (v, inv)
-        if self.dihedral:
-            return (identity, 0), dmul, values
-        return identity, mul, values
 
-    def columns(self):
-        """Per base coordinate: its values at the profile positions (the
-        rotation entries, then the reflection entries), and its modulus."""
-        parts = [v for v, e in self.gens if not e] + [v for v, e in self.gens if e]
-        return [(tuple(v[k] for v in parts), m) for k, m in enumerate(self.moduli)]
+def _columns(marked: MarkedGroup):
+    """Per base coordinate of an abelian or Dih(A) marking: its values at
+    the profile positions (the rotation entries, then the reflection
+    entries), and its modulus."""
+    base, parts = _parts(marked)
+    moduli = (None,) * base.free_rank + base.invariant_factors
+    coords = [v.coordinates() for v, _ in sorted(parts, key=itemgetter(1))]
+    return [(tuple(v[k] for v in coords), m) for k, m in enumerate(moduli)]
 
 
 def relation_ball(marked: MarkedGroup, radius: int) -> RelationBall:
@@ -241,7 +243,7 @@ def relation_ball(marked: MarkedGroup, radius: int) -> RelationBall:
         raise ValueError("radius must be nonnegative")
     m = marked.arity
     check_cap(m, radius)
-    identity, times, values = ops = _Flat(marked).ops()
+    identity, times, values = ops = _ops(marked)
     inverse_ops = (identity, lambda x, y: times(y, x), {ell: values[-ell] for ell in values})
     layers = [[((), identity, identity)]]
     layers.extend(walk_ball(m, (radius + 1) // 2, ops, inverse_ops))
@@ -266,7 +268,7 @@ def relation_ball(marked: MarkedGroup, radius: int) -> RelationBall:
 
 
 def _compare_enumerate(a: MarkedGroup, b: MarkedGroup, r_max: int):
-    ops_a, ops_b = _Flat(a).ops(), _Flat(b).ops()
+    ops_a, ops_b = _ops(a), _ops(b)
     id_a, id_b = ops_a[0], ops_b[0]
     layers = walk_ball(a.arity, r_max, ops_a, ops_b, distinct=True)
     for length, layer in enumerate(layers, start=1):
@@ -293,17 +295,9 @@ def _compare_enumerate(a: MarkedGroup, b: MarkedGroup, r_max: int):
 
 
 def _profile_pattern(marked: MarkedGroup):
-    g = marked.group
-    if isinstance(g, AbelianGroup):
-        return (0,) * marked.arity
-    if isinstance(g, GenDihedralGroup):
-        return tuple(x.eps for x in marked.generators)
-    return None
-
-
-def profile_comparable(a: MarkedGroup, b: MarkedGroup) -> bool:
-    pa, pb = _profile_pattern(a), _profile_pattern(b)
-    return pa is not None and pa == pb
+    """The eps bit of each entry (0 for an abelian group); None for a table."""
+    view = _parts(marked)
+    return None if view is None else tuple(e for _, e in view[1])
 
 
 def _signed_vectors(dim: int, total: int):
@@ -361,7 +355,7 @@ def _profile_word(marked: MarkedGroup, x: tuple[int, ...], d: tuple[int, ...]) -
 
 
 def _compare_profiles(a: MarkedGroup, b: MarkedGroup, r_max: int):
-    cols_a, cols_b = _Flat(a).columns(), _Flat(b).columns()
+    cols_a, cols_b = _columns(a), _columns(b)
     n_ref = sum(_profile_pattern(a))
     n_rot = a.arity - n_ref
     for norm in range(1, r_max + 1):
@@ -384,7 +378,8 @@ def _compare(a: MarkedGroup, b: MarkedGroup, r_max: int, method: str):
         raise ValueError("r_max must be nonnegative")
     if method not in ("auto", "enumerate"):
         raise ValueError(f"unknown comparison method {method!r}")
-    if method == "auto" and profile_comparable(a, b):
+    pattern = _profile_pattern(a) if method == "auto" else None
+    if pattern is not None and pattern == _profile_pattern(b):
         return _compare_profiles(a, b, r_max)
     return _compare_enumerate(a, b, r_max)
 
@@ -450,25 +445,23 @@ def check_convergence(
     family,
     limit: MarkedGroup,
     indices: Sequence[int],
-    schedule: Sequence[int] | None = None,
     r_max: int | None = None,
 ) -> ConvergenceReport:
     """Certify a family against a limit through a radius schedule.
 
     The verdict is consistent-with-convergence when the agreement radii
-    are nondecreasing and meet every schedule target; otherwise the
-    report is a refutation carrying a separating word.  Consistency is
-    only a certificate up to the tested radii; refutations are exact.
+    are nondecreasing and the k-th member's radius is at least k (the
+    schedule 1, 2, ..., len(indices)); otherwise the report is a
+    refutation carrying a separating word.  Consistency is only a
+    certificate up to the tested radii; refutations are exact.
     """
     indices = tuple(indices)
     if not indices:
         raise ValueError("no indices: a report over an empty family certifies nothing")
-    schedule = tuple(range(1, len(indices) + 1) if schedule is None else schedule)
-    if len(schedule) != len(indices):
-        raise ValueError("schedule and indices must have equal length")
+    schedule = tuple(range(1, len(indices) + 1))
     if r_max is None:
-        r_max = max(schedule, default=0) + 1
-    if max(schedule, default=0) > r_max:
+        r_max = len(indices) + 1
+    if len(indices) > r_max:
         raise ValueError("schedule exceeds the tested radius window")
     if callable(family):
         members = [family(n) for n in indices]
@@ -702,26 +695,6 @@ class AccumulationWitness:
     report: ConvergenceReport
 
 
-def _rotation_word_blocks(parts):
-    """Words over a marking that evaluate into its base group.
-
-    `parts` holds each generator's (base part, eps); an abelian marking
-    has eps = 0 throughout.  Rotation entries evaluate into the base, and
-    so do products of two reflections.  Returns (letter tuples, base
-    elements) pairs generating the base.
-    """
-    blocks = []
-    first_ref = None
-    for i, (v, eps) in enumerate(parts):
-        if eps == 0:
-            blocks.append(((i + 1,), v))
-        elif first_ref is None:
-            first_ref = (i, v)
-        else:
-            blocks.append(((i + 1, first_ref[0] + 1), v - first_ref[1]))
-    return blocks
-
-
 def accumulation_witness(marked: MarkedGroup, count: int) -> AccumulationWitness:
     """A verified family of distinct marked groups accumulating on `marked`.
 
@@ -733,12 +706,10 @@ def accumulation_witness(marked: MarkedGroup, count: int) -> AccumulationWitness
     if count < 1:
         raise ValueError("count must be positive")
     group = marked.group
-    if isinstance(group, AbelianGroup):
-        base, parts = group, [(s, 0) for s in marked.generators]
-    elif isinstance(group, GenDihedralGroup):
-        base, parts = group.base, [(s.v, s.eps) for s in marked.generators]
-    else:
+    view = _parts(marked)
+    if view is None:
         raise TypeError("accumulation witnesses need an abelian or dihedral marking")
+    base, parts = view
     if base.free_rank == 0:
         raise FamilyError("rank 0: the marked group is isolated in its family")
     torsion = base.torsion_order()
@@ -760,7 +731,7 @@ def accumulation_witness(marked: MarkedGroup, count: int) -> AccumulationWitness
             members.append(MarkedGroup(dq, tuple(dq.element(convert(v), eps) for v, eps in parts)))
 
     # a word evaluating to the collapsed free generator
-    blocks = _rotation_word_blocks(parts)
+    blocks = _base_blocks(parts)
     target_elem = base.free_generator(base.free_rank - 1)
     coeffs = express_in_generators(base, [b for _, b in blocks], target_elem)
     if coeffs is None:

@@ -179,6 +179,16 @@ def test_fixtures_load_by_name_or_file_name():
         load_fixture("D7")
 
 
+def test_fixture_names_are_not_paths():
+    assert load_fixture("A4").order == 12
+    assert load_fixture("A4.txt").rows == load_fixture("A4").rows
+    assert load_fixture("D12.json").order == 12
+    # an absolute name that exists, and relative ones that reach real files
+    for name in ("", ".", "..", os.path.abspath(__file__), "../__init__.py", "../fixtures/A4"):
+        with pytest.raises(FileNotFoundError, match="^no fixture named "):
+            load_fixture(name)
+
+
 def test_import_leaves_out_the_archive_and_tempfile_modules():
     # importlib.resources would pull these in, about 1.5 MB per process
     heavy = ("importlib.resources", "tempfile", "shutil", "bz2", "lzma")

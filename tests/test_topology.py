@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgs import topology
 from mgs.abelian import AbelianGroup, canonical_invariant_factors
 from mgs.dihedral import GenDihedralGroup
 from mgs.dsl import parse_marked
@@ -59,6 +60,63 @@ def test_marked_group_validation():
     t = load_fixture("D12")
     with pytest.raises(NotGenerating):
         MarkedGroup(t, (0, 1))
+
+
+def test_marking_entries_must_belong_to_the_group():
+    z2 = AbelianGroup(0, (2,))
+    dih = GenDihedralGroup(z2)
+    other = GenDihedralGroup(AbelianGroup(0, (4,)))
+    foreign = [
+        (dih, (dih.reflection((0,)), z2.element((), (1,)))),
+        (z2, (dih.reflection((0,)),)),
+        (dih, (dih.reflection((0,)), other.reflection((1,)))),
+    ]
+    for group, entries in foreign:
+        with pytest.raises(ValueError, match="^marking entries must be elements of the group$"):
+            MarkedGroup(group, entries)
+    t = load_fixture("D12")
+    for entries in [(1, 2.0), (1, "2"), (1, 12), (-1, 2)]:
+        with pytest.raises(ValueError, match="^marking entries must be element indices$"):
+            MarkedGroup(t, entries)
+    with pytest.raises(TypeError, match="^unsupported group kind object$"):
+        MarkedGroup(object(), ())
+
+
+def _table_dihedral_marking(name):
+    """A D2n fixture marked by (a reflection, a rotation of largest order)."""
+    t = load_fixture(name)
+    rot = max(range(t.order), key=t.element_order)
+    ref = next(i for i in range(t.order) if i not in t.closure([rot]))
+    return MarkedGroup(t, (ref, rot))
+
+
+# a name without ":" is a table fixture, marked by _table_dihedral_marking
+@pytest.mark.parametrize(
+    "a, b, method, route",
+    [
+        ("D6:a,b", "Dinf:a,b", "auto", "_compare_profiles"),
+        ("Z/6:(1)", "Z:(1)", "auto", "_compare_profiles"),
+        ("Z/4 x Z/6:(1,0),(0,1)", "Z^2:(1,0),(0,1)", "auto", "_compare_profiles"),
+        ("Dinf:a,b", "Dinf:b,a", "auto", "_compare_enumerate"),
+        # both involution patterns are {1, 2}, the reflection patterns differ
+        ("Z/2 x Z/2:(1,0),(0,1)", "Dih(Z/2):ref(0),ref(1)", "auto", "_compare_enumerate"),
+        ("D6", "Dinf:a,b", "auto", "_compare_enumerate"),
+        ("Dinf:a,b", "D6", "auto", "_compare_enumerate"),
+        ("D6:a,b", "Dinf:a,b", "enumerate", "_compare_enumerate"),
+        ("Z/6:(1)", "Z:(1)", "enumerate", "_compare_enumerate"),
+        ("D6", "Dinf:a,b", "enumerate", "_compare_enumerate"),
+    ],
+)
+def test_comparison_route(monkeypatch, a, b, method, route):
+    taken = []
+    for name in ("_compare_profiles", "_compare_enumerate"):
+        real = getattr(topology, name)
+        monkeypatch.setattr(
+            topology, name, lambda *args, _real=real, _name=name: taken.append(_name) or _real(*args)
+        )
+    a, b = (_table_dihedral_marking(x) if ":" not in x else parse_marked(x) for x in (a, b))
+    agreement_radius(a, b, 4, method=method)
+    assert taken == [route]
 
 
 def test_relation_ball_z2():
@@ -252,14 +310,8 @@ def test_check_convergence_refutes_constant_family():
 
 
 def test_check_convergence_schedule_validation():
-    with pytest.raises(ValueError):
-        check_convergence(
-            lambda k: cyclic_marked(k),
-            cyclic_marked(None),
-            [3, 4],
-            schedule=[9, 9],
-            r_max=5,
-        )
+    with pytest.raises(ValueError, match="^schedule exceeds the tested radius window$"):
+        check_convergence(lambda k: cyclic_marked(k), cyclic_marked(None), [3, 4], r_max=1)
 
 
 def test_check_convergence_rejects_an_empty_family():
@@ -443,6 +495,11 @@ def test_accumulation_witness_pinned(text, count, primes, radii, separator):
 def test_accumulation_witness_isolated():
     with pytest.raises(FamilyError):
         accumulation_witness(dihedral_marked(6), 3)
+
+
+def test_accumulation_witness_needs_an_abelian_or_dihedral_marking():
+    with pytest.raises(TypeError, match="^accumulation witnesses need an abelian or dihedral marking$"):
+        accumulation_witness(_table_dihedral_marking("D12"), 3)
 
 
 def test_closure_characteristic():

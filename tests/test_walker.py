@@ -20,7 +20,7 @@ from mgs.dsl import parse_marked
 from mgs.tables import load_fixture
 from mgs.topology import (
     MarkedGroup,
-    _Flat,
+    _ops,
     agreement_radius,
     relation_ball,
     separating_word,
@@ -55,7 +55,7 @@ def oracle_compare(a, b, r_max):
 
 def unpruned_compare(a, b, r_max):
     """The first mismatch of the walk that keeps every reduced word."""
-    ops_a, ops_b = _Flat(a).ops(), _Flat(b).ops()
+    ops_a, ops_b = _ops(a), _ops(b)
     for length, layer in enumerate(walk_ball(a.arity, r_max, ops_a, ops_b), start=1):
         for w, ya, yb in layer:
             if (ya == ops_a[0]) != (yb == ops_b[0]):
@@ -186,7 +186,7 @@ def test_enumeration_route_keeps_one_word_per_pair_of_values():
     assert agreement_radius(marked, dinf, 12, method="enumerate") == 11
     assert str(separating_word(marked, dinf, 12, method="enumerate")) == "g2^12"
     # a finite marking against the trivial group has one state per element
-    ops = _Flat(marked).ops()
+    ops = _ops(marked)
     layers = walk_ball(2, 10, ops, trivial_ops(2), distinct=True)
     assert sum(map(len, layers)) == table.order - 1
 
@@ -312,7 +312,7 @@ def test_pruned_enumeration_matches_the_full_walk_and_the_oracle(case):
 def full_walk_ball(marked, radius):
     """The relations among all reduced words, by the walk that keeps every word."""
     m = marked.arity
-    ops = _Flat(marked).ops()
+    ops = _ops(marked)
     layers = walk_ball(m, radius, ops, trivial_ops(m))
     return [Word((), m)] + [
         Word(w, m) for layer in layers for w, x, _ in layer if x == ops[0]
