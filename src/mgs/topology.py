@@ -13,10 +13,16 @@ routes are implemented, and each compiles a marking once per comparison
 into plain integers.  The generic route enumerates reduced words
 outright on the multiplication of `_ops`.  For abelian and generalized
 dihedral markings a word's value depends only on its net letter
-contributions, so balls can be compared through small integer profile
-vectors instead, each tested by one dot product per base coordinate
-(`_columns`); both routes return identical radii, and the enumeration
-route doubles as the test oracle for the profile route.
+contributions, its profile, and the relation profiles form a lattice
+(the subgroups of Z^m are the marked abelian groups on m generators;
+Champetier 2000).  The profile route builds each marking's lattice in
+Hermite normal form (Cohen, GTM 138, 2.4), answers at once when the two
+are equal, and otherwise lists the short points of each lattice,
+doubling the norm, and tests them against the other marking.  Its work
+follows the lattice points of norm below twice the first mismatch, not
+r_max.  Both routes return identical radii; the tests check the profile
+route against the enumeration route and against a loop over every
+profile.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import itemgetter, mul, neg
 from typing import Iterable, Sequence, Union
 
@@ -290,8 +297,11 @@ def _compare_enumerate(a: MarkedGroup, b: MarkedGroup, r_max: int):
 # successive reflection occurrences contribute with alternating signs.
 # A profile (x, d) is realized by some reduced word of length
 # |x|_1 + |d|_1 and by none shorter, and it can be a relation only when
-# sum(d) = 0; hence two markings have equal balls of radius L exactly
-# when their relation profiles with |x|_1 + |d|_1 <= L coincide.
+# sum(d) = 0.  The relation profiles form a lattice: sum(d) = 0 and one
+# dot product per base coordinate vanishing (mod its modulus).  Two
+# markings have equal balls of radius L exactly when their lattices have
+# the same points of L1 norm <= L, so the agreement radius is the least
+# norm over the symmetric difference of the lattices, minus one.
 
 
 def _profile_pattern(marked: MarkedGroup):
@@ -300,20 +310,83 @@ def _profile_pattern(marked: MarkedGroup):
     return None if view is None else tuple(e for _, e in view[1])
 
 
-def _signed_vectors(dim: int, total: int):
-    """Integer vectors with L1 norm exactly `total`, first coordinate high."""
-    if dim == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total, -total - 1, -1):
-        rest = total - abs(head)
-        if dim == 1:
-            if rest == 0:
-                yield (head,)
+def _fold(rows, values):
+    """Unimodular row operations that leave one row, `pivot`, with value
+    g = gcd(values) and every other row with value 0, where a row's value
+    is given by `values` and combines linearly: (zero rows, pivot, g),
+    with pivot None when every value is 0."""
+    zero, pivot, g = [], None, 0
+    for row, v in zip(rows, values):
+        if not v:
+            zero.append(row)
+        elif pivot is None:
+            pivot, g = row, v
+        else:
+            # extended Euclid: q = s*g + t*v
+            q, s, a, b = g, 1, v, 0
+            while a:
+                f = q // a
+                q, a, s, b = a, q - f * a, b, s - f * b
+            t = (q - s * g) // v
+            zero.append([v // q * x - g // q * y for x, y in zip(pivot, row)])
+            pivot, g = [s * x + t * y for x, y in zip(pivot, row)], q
+    return zero, pivot, g
+
+
+def _relation_lattice(columns, arity: int, n_rot: int):
+    """The relation profiles of a compiled marking, as the rows of their
+    reduced row-echelon (Hermite) basis with positive pivots, each with its
+    pivot column and the next row's pivot column (the arity for the last)."""
+    basis = [[int(i == j) for j in range(arity)] for i in range(arity)]
+    if n_rot < arity:
+        basis, _, _ = _fold(basis, [sum(row[n_rot:]) for row in basis])
+    for col, m in columns:
+        values = [sum(map(mul, col, row)) for row in basis]
+        basis, pivot, g = _fold(basis, [v % m for v in values] if m else values)
+        if m and pivot is not None:
+            f = m // gcd(g, m)
+            basis.append([f * x for x in pivot])
+    hnf, pivots = [], []
+    for c in range(arity):
+        if not basis:
+            break
+        rest, pivot, g = _fold(basis, [row[c] for row in basis])
+        if pivot is None:
             continue
-        for tail in _signed_vectors(dim - 1, rest):
-            yield (head,) + tail
+        if g < 0:
+            pivot, g = [-x for x in pivot], -g
+        for row in hnf:
+            f = row[c] // g
+            if f:
+                row[c:] = [x - f * y for x, y in zip(row[c:], pivot[c:])]
+        hnf.append(pivot)
+        pivots.append(c)
+        basis = rest
+    return [(tuple(row), c, end) for row, c, end in zip(hnf, pivots, pivots[1:] + [arity])]
+
+
+def _walk(plan, i: int, point, used: int, radius: int, columns, out) -> None:
+    """Append to `out` the lattice points of norm <= radius that complete
+    `point` through the levels i, ... of `plan` (a Hermite basis from
+    `_relation_lattice`) and are not relations of the compiled marking
+    `columns`.
+
+    Level i fixes one Hermite basis coefficient; after it every coordinate
+    left of the next pivot is final, so a partial point whose final
+    coordinates already exceed the norm is dropped.
+    """
+    row, c, end = plan[i]
+    piv, at, left = row[c], point[c], radius - used
+    last = i + 1 == len(plan)
+    for t in range(-((left + at) // piv), (left - at) // piv + 1):
+        p = tuple(x + t * y for x, y in zip(point, row)) if t else point
+        n = used + sum(map(abs, p[c:end]))
+        if n > radius:
+            continue
+        if not last:
+            _walk(plan, i + 1, p, n, radius, columns, out)
+        elif not _flat_relation(columns, p):
+            out.append(p)
 
 
 def _flat_relation(columns, p) -> bool:
@@ -356,19 +429,34 @@ def _profile_word(marked: MarkedGroup, x: tuple[int, ...], d: tuple[int, ...]) -
 
 def _compare_profiles(a: MarkedGroup, b: MarkedGroup, r_max: int):
     cols_a, cols_b = _columns(a), _columns(b)
-    n_ref = sum(_profile_pattern(a))
-    n_rot = a.arity - n_ref
-    for norm in range(1, r_max + 1):
-        for d_norm in range(0, norm + 1):
-            x_norm = norm - d_norm
-            for d in _signed_vectors(n_ref, d_norm):
-                if sum(d) != 0:
-                    continue
-                for x in _signed_vectors(n_rot, x_norm):
-                    p = x + d
-                    if _flat_relation(cols_a, p) != _flat_relation(cols_b, p):
-                        return norm - 1, _profile_word(a, x, d)
-    return r_max, None
+    n_rot = a.arity - sum(_profile_pattern(a))
+    lat_a = _relation_lattice(cols_a, a.arity, n_rot)
+    lat_b = _relation_lattice(cols_b, a.arity, n_rot)
+    if lat_a == lat_b:
+        return r_max, None
+    # A nonzero lattice point is at least its first nonzero coefficient
+    # times that row's pivot in norm, so no mismatch is shorter than the
+    # least pivot.  From there the listed norm doubles, so that an early
+    # mismatch stays cheap; every mismatch of norm <= radius is listed,
+    # so the least one is final.
+    radius, misses = min(row[c] for row, c, _ in lat_a + lat_b), []
+    while True:
+        radius = min(radius, r_max)
+        for plan, other in ((lat_a, cols_b), (lat_b, cols_a)):
+            if plan:
+                _walk(plan, 0, (0,) * a.arity, 0, radius, other, misses)
+        if misses or radius == r_max:
+            break
+        radius *= 2
+    if not misses:
+        return r_max, None
+
+    def order(p):
+        x, d = p[:n_rot], p[n_rot:]
+        return sum(map(abs, p)), sum(map(abs, d)), tuple(map(neg, d)), tuple(map(neg, x))
+
+    p = min(misses, key=order)
+    return sum(map(abs, p)) - 1, _profile_word(a, p[:n_rot], p[n_rot:])
 
 
 def _compare(a: MarkedGroup, b: MarkedGroup, r_max: int, method: str):

@@ -2,12 +2,14 @@
 
 Everything here is deliberately independent of the library's fast
 paths: closures by breadth-first multiplication, isomorphism by
-permutation search, group enumeration by partitions.
+permutation search, group enumeration by partitions, ball comparison
+by visiting every profile in norm order.
 """
 
 from itertools import permutations, product
 
 from mgs.abelian import canonical_invariant_factors
+from mgs.topology import _columns, _flat_relation, _profile_pattern, _profile_word
 
 
 def closure_of_elements(identity, elements):
@@ -151,3 +153,37 @@ def random_element(rng, group, span=5):
     free = tuple(rng.randint(-span, span) for _ in range(group.free_rank))
     torsion = tuple(rng.randrange(d) for d in group.invariant_factors)
     return group.element(free, torsion)
+
+
+def signed_vectors(dim, total):
+    """Integer vectors with L1 norm exactly `total`, first coordinate high."""
+    if dim == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total, -total - 1, -1):
+        rest = total - abs(head)
+        if dim == 1:
+            if rest == 0:
+                yield (head,)
+            continue
+        for tail in signed_vectors(dim - 1, rest):
+            yield (head,) + tail
+
+
+def profile_loop(a, b, r_max):
+    """(radius, witness) of two same-pattern abelian or Dih(A) markings by
+    visiting every profile (x, d) with sum(d) = 0 in order of norm, then
+    |d|_1, then descending d and x; the first mismatch is the witness."""
+    cols_a, cols_b = _columns(a), _columns(b)
+    n_ref = sum(_profile_pattern(a))
+    for norm in range(1, r_max + 1):
+        for d_norm in range(norm + 1):
+            for d in signed_vectors(n_ref, d_norm):
+                if sum(d) != 0:
+                    continue
+                for x in signed_vectors(a.arity - n_ref, norm - d_norm):
+                    p = x + d
+                    if _flat_relation(cols_a, p) != _flat_relation(cols_b, p):
+                        return norm - 1, _profile_word(a, x, d)
+    return r_max, None

@@ -302,3 +302,85 @@ def test_criterion_10_structure_recognition():
                 assert outcome.base == base
         assert recognize_generalized_dihedral(load_fixture("Q8")).kind == "no"
         assert recognize_generalized_dihedral(load_fixture("D4")).kind == "abelian"
+
+
+# ---------------------------------------------------------------------------
+# Ball comparison through relation lattices: windows that visiting every
+# profile of norm <= r_max could not reach
+
+
+def _dist(capsys, a, b, r_max):
+    from mgs.cli import main
+
+    capsys.readouterr()
+    assert main(["dist", a, b, "--rmax", str(r_max)]) == 0
+    return capsys.readouterr().out
+
+
+_Z5 = "Z^5:(1,0,0,0,0),(0,1,0,0,0),(0,0,1,0,0),(0,0,0,1,0),(0,0,0,0,1)"
+_FIVE_COORDS = ":(1,0,0,0,0),(0,1,0,0,0),(0,0,1,0,0),(0,0,0,1,0),(0,0,0,0,1)"
+_FIVE_COORDS_PRINTED = ":(1,0,0,0;0),(0,1,0,0;0),(0,0,1,0;0),(0,0,0,1;0),(0,0,0,0;1)"
+
+
+def test_huge_windows_answer_at_once(capsys):
+    cases = [
+        ("Z^2:(1,0),(0,1)", "Z^2:(0,1),(1,0)", 10**9, None),
+        ("Z/2:(1)", "Z/2:(1)", 10**9, None),
+        ("Z:(1)", "Z/1009:(1)", 1008, "g1^1009"),
+    ]
+    for a, b, radius, word in cases:
+        with Budget(f"dist {a} {b} --rmax 1000000000", 1):
+            payload = json.loads(_dist(capsys, a, b, 10**9))
+        assert payload["agreement_radius"] == radius
+        assert payload["separating_word"] == word
+        assert payload["exact"] == (word is not None)
+
+
+def test_z5_against_z4_by_z29_is_pinned(capsys):
+    for r_max, radius, exact, distance, word in (
+        (28, 28, "false", "0.0", "null"),
+        (29, 28, "true", "1.862645149230957e-09", '"g5^29"'),
+    ):
+        with Budget(f"dist Z^5 Z^4 x Z/29 --rmax {r_max}", 10):
+            out = _dist(capsys, _Z5, "Z^4 x Z/29" + _FIVE_COORDS, r_max)
+        assert out == (
+            "{\n"
+            f'  "a": "{_Z5}",\n'
+            f'  "b": "Z^4 x Z/29{_FIVE_COORDS_PRINTED}",\n'
+            f'  "r_max": {r_max},\n'
+            f'  "agreement_radius": {radius},\n'
+            f'  "exact": {exact},\n'
+            f'  "distance": {distance},\n'
+            f'  "separating_word": {word}\n'
+            "}\n"
+        )
+
+
+def test_z5_against_z4_by_z1009_past_the_profile_loop(capsys):
+    from mgs.dsl import parse_marked, parse_word
+
+    a, b = _Z5, "Z^4 x Z/1009" + _FIVE_COORDS
+    with Budget("dist Z^5 Z^4 x Z/1009 --rmax 2000", 10):
+        payload = json.loads(_dist(capsys, a, b, 2000))
+    assert payload["agreement_radius"] == 1008
+    word = parse_word(payload["separating_word"], arity=5)
+    assert len(word) == 1009
+    assert parse_marked(a).is_relation(word) != parse_marked(b).is_relation(word)
+
+
+def test_accumulation_witnesses_with_large_primes_are_pinned():
+    from mgs.dsl import parse_marked
+
+    cases = [
+        ("Z^4:(1,0,0,0),(0,1,0,0),(0,0,1,0),(0,0,0,1)", 8, (2, 4, 6, 10, 12, 16, 18, 22)),
+        ("Dih(Z^3):a,b,c,d", 10, (2, 4, 6, 10, 12, 16, 18, 22, 28, 30)),
+    ]
+    for text, count, radii in cases:
+        with Budget(f"accumulation witness of {text}, count {count}", 10):
+            witness = accumulation_witness(parse_marked(text), count)
+        assert witness.primes == (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)[:count]
+        assert witness.report.radii == radii
+        assert witness.report.consistent()
+        assert {pair: str(word) for pair, word in witness.separators.items()} == {
+            (i, j): f"g4^{p}" for i, p in enumerate(witness.primes) for j in range(i + 1, count)
+        }

@@ -14,7 +14,6 @@ from mgs.topology import (
     FamilyError,
     _compare_profiles,
     _profile_word,
-    _signed_vectors,
     MarkedGroup,
     NotGenerating,
     RelationBall,
@@ -32,6 +31,8 @@ from mgs.topology import (
     separating_word,
 )
 from mgs.words import BallCapExceeded, Word, free_reduce
+
+from helpers import profile_loop, signed_vectors
 
 
 def dihedral_marked(n):
@@ -552,23 +553,31 @@ def generating_coordinates(draw, group, length):
     return draw(st.permutations(coords))
 
 
+def _last_factor(group):
+    return (group.invariant_factors[-1:] or (1,))[0]
+
+
 @st.composite
-def collapsed(draw, group):
+def collapsed(draw, group, max_modulus=None):
     """A quotient Z^r x T -> Z^(r-1) x T x Z/k killing k times the last free
     generator, as (target group, coordinate map).  Markings related by it
     can agree on larger balls than independent ones, so the routes are
-    tested past their first few profiles."""
-    k = (group.invariant_factors[-1:] or (1,))[0] * draw(st.integers(2, 6))
+    tested past their first few profiles.  k is a multiple of T's last
+    factor: 2 to 6 times it, or up to max_modulus when that is given."""
+    base = _last_factor(group)
+    k = base * draw(st.integers(2, 6 if max_modulus is None else max_modulus // base))
     r = group.free_rank
     target = AbelianGroup(r - 1, group.invariant_factors + (k,))
     return target, lambda c: [*c[: r - 1], *c[r:], c[r - 1] % k]
 
 
 @st.composite
-def marked_pairs(draw, arity, max_rank, min_rank, build, lead=0):
+def marked_pairs(draw, arity, max_rank, min_rank, build, lead=0, max_modulus=None):
     """Two markings build(group, coordinates): independent draws, or the
     second one the image of the first under a collapse of a free factor.
-    The coordinates are `lead` arbitrary vectors, then a generating tuple."""
+    The coordinates are `lead` arbitrary vectors, then a generating tuple.
+    With max_modulus, the pair is always one collapse apart, by a modulus
+    of at most max_modulus."""
 
     def draw_coords(group):
         vector = st.lists(st.integers(-3, 3), min_size=group.rank, max_size=group.rank)
@@ -576,10 +585,13 @@ def marked_pairs(draw, arity, max_rank, min_rank, build, lead=0):
             generating_coordinates(group, arity)
         )
 
-    group = draw(abelian_groups(max_rank).filter(lambda g: g.rank >= min_rank))
+    groups = abelian_groups(max_rank).filter(lambda g: g.rank >= min_rank)
+    if max_modulus is not None:
+        groups = groups.filter(lambda g: g.free_rank and 2 * _last_factor(g) <= max_modulus)
+    group = draw(groups)
     coords = draw_coords(group)
-    if group.free_rank and draw(st.booleans()):
-        other, image = draw(collapsed(group))
+    if group.free_rank and (max_modulus is not None or draw(st.booleans())):
+        other, image = draw(collapsed(group, max_modulus))
         other_coords = [image(c) for c in coords]
     else:
         other = draw(abelian_groups(max_rank).filter(lambda g: g.rank >= min_rank))
@@ -588,17 +600,17 @@ def marked_pairs(draw, arity, max_rank, min_rank, build, lead=0):
 
 
 @st.composite
-def abelian_pairs(draw):
+def abelian_pairs(draw, max_modulus=None):
     arity = draw(st.integers(1, 3))
 
     def build(group, coords):
         return MarkedGroup(group, [group.from_coordinates(c) for c in coords])
 
-    return draw(marked_pairs(arity, arity, 0, build))
+    return draw(marked_pairs(arity, arity, 0, build, max_modulus=max_modulus))
 
 
 @st.composite
-def dihedral_pairs(draw):
+def dihedral_pairs(draw, max_modulus=None):
     """Two Dih(A) markings with one involution pattern, A of rank 1 to 3.
 
     The first reflection's translation is the first coordinate vector; the
@@ -622,7 +634,9 @@ def dihedral_pairs(draw):
                 gens.append(group.reflection(first))
         return MarkedGroup(group, gens)
 
-    return draw(marked_pairs(arity - 1, min(3, arity - 1), 1, build, lead=1))
+    return draw(
+        marked_pairs(arity - 1, min(3, arity - 1), 1, build, lead=1, max_modulus=max_modulus)
+    )
 
 
 def oracle_profiles(a, b, r_max):
@@ -631,10 +645,10 @@ def oracle_profiles(a, b, r_max):
     n_ref = sum(getattr(s, "eps", 0) for s in a.generators)
     for norm in range(1, r_max + 1):
         for d_norm in range(norm + 1):
-            for d in _signed_vectors(n_ref, d_norm):
+            for d in signed_vectors(n_ref, d_norm):
                 if sum(d) != 0:
                     continue
-                for x in _signed_vectors(a.arity - n_ref, norm - d_norm):
+                for x in signed_vectors(a.arity - n_ref, norm - d_norm):
                     word = _profile_word(a, x, d)
                     if a.is_relation(word) != b.is_relation(word):
                         return norm - 1, word
@@ -663,3 +677,32 @@ def test_profile_route_matches_oracles_on_abelian_markings(pair, r_profile, r_en
 @settings(max_examples=100, deadline=None)
 def test_profile_route_matches_oracles_on_dihedral_markings(pair, r_profile, r_enumerate):
     check_profile_route(pair, r_profile, r_enumerate)
+
+
+@given(
+    st.one_of(abelian_pairs(max_modulus=31), dihedral_pairs(max_modulus=31)),
+    st.integers(10, 30),
+)
+@settings(max_examples=100, deadline=None)
+def test_profile_route_matches_the_profile_loop_past_small_radii(pair, r_max):
+    """Pairs one collapse apart, by moduli up to 31, reach witnesses of
+    norm above 9 (about a sixth of the draws) and past 20."""
+    a, b = pair
+    assert _compare_profiles(a, b, r_max) == profile_loop(a, b, r_max)
+
+
+@pytest.mark.parametrize(
+    "a, b, radius, witness",
+    [
+        ("Z^2:(1,0),(0,1)", "Z x Z/29:(1,0),(0,1)", 28, "g2^29"),
+        ("Dih(Z^2):a,b,c", "Dih(Z x Z/31):a,b,c", 30, None),
+        ("Dih(Z^2):a,b,c", "Dih(Z x Z/29):a,b,c", 28, "g3^29"),
+        ("Z^3:(1,0,0),(0,1,0),(0,0,1)", "Z^2 x Z/12:(1,0,0),(0,1,0),(0,0,5)", 11, "g3^12"),
+    ],
+)
+def test_profile_route_far_witnesses(a, b, radius, witness):
+    a, b = parse_marked(a), parse_marked(b)
+    got = _compare_profiles(a, b, 30)
+    assert got == profile_loop(a, b, 30)
+    assert got[0] == radius
+    assert (got[1] and str(got[1])) == witness
