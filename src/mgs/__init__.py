@@ -13,7 +13,6 @@ from .abelian import (
     CyclicQuotientMap,
     canonical_invariant_factors,
     cyclic_residual_quotient,
-    determinant,
     express_in_generators,
     generates_full,
     is_limit_of_cyclic,

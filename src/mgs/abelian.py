@@ -2,10 +2,12 @@
 
 A group is ``Z^r x Z/d_1 x ... x Z/d_t`` with ``d_1 | d_2 | ... | d_t``
 and every ``d_i >= 2``; constructors canonicalize, so two groups are
-isomorphic exactly when they are equal.  The exact integer kernel
-(Smith normal form over Z, Bareiss determinants) lives here as well:
-generation tests, expressing elements in generators, and the residual
-quotient construction all reduce to it.
+isomorphic exactly when they are equal.  The exact integer kernel lives
+here as well.  One extended-gcd elimination step, brought to Hermite
+normal form, answers every question with a unique answer: generation,
+unimodularity, unimodular inverses and relation lattices.  Smith normal
+form, whose transforms are not unique, only expresses elements in
+generators.
 """
 
 from __future__ import annotations
@@ -42,30 +44,57 @@ def matvec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
-def determinant(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+def _fold(rows, values):
+    """Unimodular row operations that leave one row, `pivot`, with value
+    g = gcd(values) and every other row with value 0, where a row's value
+    is given by `values` and combines linearly: (zero rows, pivot, g),
+    with pivot None when every value is 0."""
+    zero, pivot, g = [], None, 0
+    for row, v in zip(rows, values):
+        if not v:
+            zero.append(row)
+        elif pivot is None:
+            pivot, g = row, v
+        else:
+            # extended Euclid: q = s*g + t*v
+            q, s, a, b = g, 1, v, 0
+            while a:
+                f = q // a
+                q, a, s, b = a, q - f * a, b, s - f * b
+            t = (q - s * g) // v
+            zero.append([v // q * x - g // q * y for x, y in zip(pivot, row)])
+            pivot, g = [s * x + t * y for x, y in zip(pivot, row)], q
+    return zero, pivot, g
+
+
+def _hermite(rows, width: int) -> list[tuple[list[int], int]]:
+    """The reduced row-echelon (Hermite) basis, with positive pivots, of
+    the lattice spanned by integer vectors of length `width`: (row, pivot
+    column) pairs (Cohen, GTM 138, 2.4).  A lattice has exactly one."""
+    basis = [list(row) for row in rows]
+    hnf = []
+    for c in range(width):
+        if not basis:
+            break
+        rest, pivot, g = _fold(basis, [row[c] for row in basis])
+        if pivot is None:
+            continue
+        if g < 0:
+            pivot, g = [-x for x in pivot], -g
+        for row, _ in hnf:
+            f = row[c] // g
+            if f:
+                row[c:] = [x - f * y for x, y in zip(row[c:], pivot[c:])]
+        hnf.append((pivot, c))
+        basis = rest
+    return hnf
+
+
+def _unimodular(mat: Sequence[Sequence[int]]) -> bool:
+    """Whether a square integer matrix is invertible over Z: its Hermite
+    form is the identity."""
     n = len(mat)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in mat):
-        raise ValueError("determinant needs a square matrix")
-    a = [list(map(int, row)) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return [row for row, _ in _hermite(mat, n)] == _identity_matrix(n)
 
 
 def _snf_valid(mat, u, d, v) -> bool:
@@ -73,7 +102,7 @@ def _snf_valid(mat, u, d, v) -> bool:
     cols = len(mat[0]) if rows else 0
     if matmul(matmul(u, [list(r) for r in mat]), v) != d:
         return False
-    if abs(determinant(u)) != 1 or abs(determinant(v)) != 1:
+    if not _unimodular(u) or not _unimodular(v):
         return False
     diag = []
     for i in range(rows):
@@ -422,38 +451,26 @@ def _invariant_factors(exponents: dict[int, list[int]]) -> tuple[int, ...]:
 # Generation and expression
 
 
-def _relation_columns(group: AbelianGroup) -> list[list[int]]:
-    dims = group.rank
-    cols = []
+def _generator_rows(group: AbelianGroup, gens: Sequence[AbelianElement]) -> Matrix:
+    """Each generator's coordinates, then the torsion relations d_i * e_(free+i)."""
+    for g in gens:
+        if g.group != group:
+            raise ValueError("generator belongs to a different group")
+    rows = [list(g.coordinates()) for g in gens]
     for i, d in enumerate(group.invariant_factors):
-        col = [0] * dims
-        col[group.free_rank + i] = d
-        cols.append(col)
-    return cols
-
-
-def _generator_matrix(group: AbelianGroup, gens: Sequence[AbelianElement]) -> Matrix:
-    dims = group.rank
-    cols = [list(g.coordinates()) for g in gens] + _relation_columns(group)
-    return [[col[i] for col in cols] for i in range(dims)]
+        rows.append([d if j == group.free_rank + i else 0 for j in range(group.rank)])
+    return rows
 
 
 def generates_full(group: AbelianGroup, gens: Sequence[AbelianElement]) -> bool:
     """Exact test of whether the given elements generate the whole group.
 
     The generator coordinates, together with the torsion relations, span
-    the full integer lattice exactly when all Smith invariants are 1.
+    the full integer lattice exactly when their Hermite form is the
+    identity.
     """
-    for g in gens:
-        if g.group != group:
-            raise ValueError("generator belongs to a different group")
-    dims = group.rank
-    if dims == 0:
-        return True
-    mat = _generator_matrix(group, gens)
-    _, d, _ = smith_normal_form(mat)
-    diag = [d[i][i] for i in range(min(dims, len(mat[0])))]
-    return len(diag) == dims and all(x == 1 for x in diag)
+    rows = _generator_rows(group, gens)
+    return [row for row, _ in _hermite(rows, group.rank)] == _identity_matrix(group.rank)
 
 
 def express_in_generators(
@@ -464,14 +481,12 @@ def express_in_generators(
     """Integer coefficients c with sum(c_i * gens_i) = target, or None."""
     if target.group != group:
         raise ValueError("target belongs to a different group")
-    for g in gens:
-        if g.group != group:
-            raise ValueError("generator belongs to a different group")
+    rows = _generator_rows(group, gens)
     dims = group.rank
     if dims == 0:
         return [0] * len(gens)
-    mat = _generator_matrix(group, gens)
-    ncols = len(mat[0])
+    mat = [[row[i] for row in rows] for i in range(dims)]
+    ncols = len(rows)
     u, d, v = smith_normal_form(mat)
     rhs = matvec(u, list(target.coordinates()))
     y = [0] * ncols

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .abelian import AbelianGroup, _identity_matrix, determinant, matmul, matvec, smith_normal_form
+from .abelian import AbelianGroup, _hermite, _identity_matrix, _unimodular, matmul, matvec
 from .dihedral import GenDihedralElement, GenDihedralGroup, _base_blocks, is_generating_dih
 from .tables import FiniteGroupTable, automorphism_group, check_automorphism_bound
 
@@ -57,7 +57,7 @@ class DihAutomorphism:
         n = len(self.translation)
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise ValueError("translation and matrix dimensions disagree")
-        if abs(determinant(self.matrix)) != 1:
+        if not _unimodular(self.matrix):
             raise ValueError("matrix must be unimodular")
 
     @property
@@ -91,9 +91,10 @@ class DihAutomorphism:
         )
 
     def inverse(self) -> "DihAutomorphism":
-        # U M V = I for a unimodular M, so M^-1 = V U
-        u, _, v = smith_normal_form(self.matrix)
-        inv = matmul(v, u)
+        # the Hermite form of [M | I] is [I | M^-1] for a unimodular M
+        n = len(self.matrix)
+        rows = [list(r) + e for r, e in zip(self.matrix, _identity_matrix(n))]
+        inv = [row[n:] for row, _ in _hermite(rows, 2 * n)]
         return DihAutomorphism(
             tuple(-a for a in matvec(inv, self.translation)), inv
         )
@@ -246,6 +247,9 @@ def enumerate_markings(table: FiniteGroupTable, arity: int) -> list[MarkingClass
         if count > ENUMERATION_BUDGET:
             raise ValueError(f"{n}^{arity} tuples exceed the enumeration budget")
     check_automorphism_bound(n)
+    # the scan reads every entry of every tuple
+    if count * arity > ENUMERATION_BUDGET:
+        raise ValueError(f"{n}^{arity} tuples of {arity} entries exceed the enumeration budget")
     trivial = frozenset([0])
     span: dict[tuple[frozenset[int], int], frozenset[int]] = {}  # (H, x) -> <H, x>
     columns = None  # the image of each element under every automorphism

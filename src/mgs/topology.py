@@ -38,6 +38,8 @@ from .abelian import (
     AbelianElement,
     AbelianGroup,
     CyclicQuotientMap,
+    _fold,
+    _hermite,
     cyclic_residual_quotient,
     express_in_generators,
     generates_full,
@@ -310,29 +312,6 @@ def _profile_pattern(marked: MarkedGroup):
     return None if view is None else tuple(e for _, e in view[1])
 
 
-def _fold(rows, values):
-    """Unimodular row operations that leave one row, `pivot`, with value
-    g = gcd(values) and every other row with value 0, where a row's value
-    is given by `values` and combines linearly: (zero rows, pivot, g),
-    with pivot None when every value is 0."""
-    zero, pivot, g = [], None, 0
-    for row, v in zip(rows, values):
-        if not v:
-            zero.append(row)
-        elif pivot is None:
-            pivot, g = row, v
-        else:
-            # extended Euclid: q = s*g + t*v
-            q, s, a, b = g, 1, v, 0
-            while a:
-                f = q // a
-                q, a, s, b = a, q - f * a, b, s - f * b
-            t = (q - s * g) // v
-            zero.append([v // q * x - g // q * y for x, y in zip(pivot, row)])
-            pivot, g = [s * x + t * y for x, y in zip(pivot, row)], q
-    return zero, pivot, g
-
-
 def _relation_lattice(columns, arity: int, n_rot: int):
     """The relation profiles of a compiled marking, as the rows of their
     reduced row-echelon (Hermite) basis with positive pivots, each with its
@@ -346,47 +325,37 @@ def _relation_lattice(columns, arity: int, n_rot: int):
         if m and pivot is not None:
             f = m // gcd(g, m)
             basis.append([f * x for x in pivot])
-    hnf, pivots = [], []
-    for c in range(arity):
-        if not basis:
-            break
-        rest, pivot, g = _fold(basis, [row[c] for row in basis])
-        if pivot is None:
-            continue
-        if g < 0:
-            pivot, g = [-x for x in pivot], -g
-        for row in hnf:
-            f = row[c] // g
-            if f:
-                row[c:] = [x - f * y for x, y in zip(row[c:], pivot[c:])]
-        hnf.append(pivot)
-        pivots.append(c)
-        basis = rest
-    return [(tuple(row), c, end) for row, c, end in zip(hnf, pivots, pivots[1:] + [arity])]
+    hnf = _hermite(basis, arity)
+    ends = [c for _, c in hnf[1:]] + [arity]
+    return [(tuple(row), c, end) for (row, c), end in zip(hnf, ends)]
 
 
-def _walk(plan, i: int, point, used: int, radius: int, columns, out) -> None:
-    """Append to `out` the lattice points of norm <= radius that complete
-    `point` through the levels i, ... of `plan` (a Hermite basis from
-    `_relation_lattice`) and are not relations of the compiled marking
-    `columns`.
+def _walk(plan, radius: int, columns, out) -> None:
+    """Append to `out` the lattice points of norm <= radius of `plan` (a
+    Hermite basis from `_relation_lattice`) that are not relations of the
+    compiled marking `columns`.
 
-    Level i fixes one Hermite basis coefficient; after it every coordinate
-    left of the next pivot is final, so a partial point whose final
-    coordinates already exceed the norm is dropped.
+    A stack holds partial points, each with the level of `plan` it fixes
+    next and the norm of its final coordinates.  Level i fixes one Hermite
+    basis coefficient; after it every coordinate left of the next pivot is
+    final, so a partial point whose final coordinates already exceed the
+    norm is dropped.
     """
-    row, c, end = plan[i]
-    piv, at, left = row[c], point[c], radius - used
-    last = i + 1 == len(plan)
-    for t in range(-((left + at) // piv), (left - at) // piv + 1):
-        p = tuple(x + t * y for x, y in zip(point, row)) if t else point
-        n = used + sum(map(abs, p[c:end]))
-        if n > radius:
-            continue
-        if not last:
-            _walk(plan, i + 1, p, n, radius, columns, out)
-        elif not _flat_relation(columns, p):
-            out.append(p)
+    stack = [(0, (0,) * len(plan[0][0]), 0)]
+    while stack:
+        i, point, used = stack.pop()
+        row, c, end = plan[i]
+        piv, at, left = row[c], point[c], radius - used
+        last = i + 1 == len(plan)
+        for t in range(-((left + at) // piv), (left - at) // piv + 1):
+            p = tuple(x + t * y for x, y in zip(point, row)) if t else point
+            n = used + sum(map(abs, p[c:end]))
+            if n > radius:
+                continue
+            if not last:
+                stack.append((i + 1, p, n))
+            elif not _flat_relation(columns, p):
+                out.append(p)
 
 
 def _flat_relation(columns, p) -> bool:
@@ -444,7 +413,7 @@ def _compare_profiles(a: MarkedGroup, b: MarkedGroup, r_max: int):
         radius = min(radius, r_max)
         for plan, other in ((lat_a, cols_b), (lat_b, cols_a)):
             if plan:
-                _walk(plan, 0, (0,) * a.arity, 0, radius, other, misses)
+                _walk(plan, radius, other, misses)
         if misses or radius == r_max:
             break
         radius *= 2

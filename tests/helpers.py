@@ -3,12 +3,13 @@
 Everything here is deliberately independent of the library's fast
 paths: closures by breadth-first multiplication, isomorphism by
 permutation search, group enumeration by partitions, ball comparison
-by visiting every profile in norm order.
+by visiting every profile in norm order, determinants by Bareiss
+elimination and generation by the Smith diagonal.
 """
 
 from itertools import permutations, product
 
-from mgs.abelian import canonical_invariant_factors
+from mgs.abelian import canonical_invariant_factors, smith_normal_form
 from mgs.topology import _columns, _flat_relation, _profile_pattern, _profile_word
 
 
@@ -187,3 +188,59 @@ def profile_loop(a, b, r_max):
                     if _flat_relation(cols_a, p) != _flat_relation(cols_b, p):
                         return norm - 1, _profile_word(a, x, d)
     return r_max, None
+
+
+def determinant(mat):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in mat):
+        raise ValueError("determinant needs a square matrix")
+    a = [list(map(int, row)) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def smith_generates(group, gens):
+    """Whether the elements generate an abelian group: the generator
+    coordinates and the torsion relations, as columns, have every Smith
+    invariant equal to 1."""
+    dims = group.rank
+    if dims == 0:
+        return True
+    cols = [list(g.coordinates()) for g in gens]
+    for i, d in enumerate(group.invariant_factors):
+        cols.append([d if j == group.free_rank + i else 0 for j in range(dims)])
+    mat = [[col[i] for col in cols] for i in range(dims)]
+    _, d, _ = smith_normal_form(mat)
+    diag = [d[i][i] for i in range(min(dims, len(cols)))]
+    return len(diag) == dims and all(x == 1 for x in diag)
+
+
+def random_unimodular(rng, n):
+    """An n x n integer matrix of determinant +-1: the identity under
+    random row swaps, negations and additions of a multiple of one row
+    to another."""
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j, f = rng.randrange(n), rng.randrange(n), rng.randint(-2, 2)
+        if i == j:
+            mat[i] = [-x for x in mat[i]]
+        else:
+            mat[i], mat[j] = mat[j], [a + f * b for a, b in zip(mat[i], mat[j])]
+    return mat

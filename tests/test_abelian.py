@@ -13,17 +13,25 @@ from mgs.abelian import (
     AbelianGroup,
     canonical_invariant_factors,
     cyclic_residual_quotient,
-    determinant,
     express_in_generators,
     generates_full,
     is_limit_of_cyclic,
     matmul,
     smith_normal_form,
+    _hermite,
+    _unimodular,
 )
 import mgs
 from mgs.dihedral import materialize_table
 
-from helpers import abelian_closure, random_element, tables_isomorphic
+from helpers import (
+    abelian_closure,
+    determinant,
+    random_element,
+    random_unimodular,
+    smith_generates,
+    tables_isomorphic,
+)
 
 
 def snf_oracle_check(mat):
@@ -178,6 +186,88 @@ def test_generates_full_against_closure():
         gens = [random_element(rng, g) for _ in range(rng.randint(0, 3))]
         expected = len(abelian_closure(g, gens)) == g.torsion_order()
         assert generates_full(g, gens) == expected
+
+
+@st.composite
+def abelian_generators(draw):
+    """A group of free rank 0-3 with 0-2 torsion factors and 0-5 elements."""
+    free = draw(st.integers(0, 3))
+    torsion = draw(st.lists(st.integers(2, 12), max_size=2))
+    group = canonical_invariant_factors([None] * free + torsion)
+    coordinate = st.integers(-4, 4)
+    gens = draw(
+        st.lists(
+            st.tuples(
+                st.lists(coordinate, min_size=free, max_size=free),
+                st.lists(coordinate, min_size=group.torsion_rank, max_size=group.torsion_rank),
+            ),
+            max_size=5,
+        )
+    )
+    return group, [group.element(f, t) for f, t in gens]
+
+
+@given(abelian_generators())
+@settings(max_examples=300)
+def test_generates_full_against_the_smith_diagonal(case):
+    group, gens = case
+    assert generates_full(group, gens) == smith_generates(group, gens)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of size 0-5: random ones, mostly singular or of large
+    determinant, and unimodular ones with one row scaled by 0, +-1 or +-2."""
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        return draw(st.lists(row, min_size=n, max_size=n))
+    mat = random_unimodular(random.Random(draw(st.integers(0, 2**32))), n)
+    if n:
+        i, f = draw(st.integers(0, n - 1)), draw(st.sampled_from([0, 1, -1, 2, -2]))
+        mat[i] = [f * x for x in mat[i]]
+    return mat
+
+
+@given(square_matrices())
+@settings(max_examples=300)
+def test_unimodular_against_the_determinant(mat):
+    assert _unimodular(mat) == (abs(determinant(mat)) == 1)
+
+
+integer_rows = st.integers(0, 5).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(st.lists(st.integers(-9, 9), min_size=width, max_size=width), max_size=6),
+    )
+)
+
+
+@given(integer_rows)
+@settings(max_examples=300)
+def test_hermite_is_a_reduced_basis_of_the_same_lattice(case):
+    width, rows = case
+    hnf = _hermite(rows, width)
+    columns = [c for _, c in hnf]
+    assert columns == sorted(set(columns))
+    for k, (row, c) in enumerate(hnf):
+        assert len(row) == width
+        assert not any(row[:c]) and row[c] > 0
+        for above, _ in hnf[:k]:
+            assert 0 <= above[c] < row[c]
+    # every input row reduces to 0 along the pivots ...
+    for v in rows:
+        v = list(v)
+        for row, c in hnf:
+            q, r = divmod(v[c], row[c])
+            assert r == 0
+            v = [x - q * y for x, y in zip(v, row)]
+        assert not any(v)
+    # ... and every output row is an integer combination of the input rows
+    z = AbelianGroup(width)
+    gens = [z.element(v) for v in rows]
+    for row, _ in hnf:
+        assert express_in_generators(z, gens, z.element(row)) is not None
 
 
 def test_express_in_generators():

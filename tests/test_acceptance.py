@@ -384,3 +384,41 @@ def test_accumulation_witnesses_with_large_primes_are_pinned():
         assert {pair: str(word) for pair, word in witness.separators.items()} == {
             (i, j): f"g4^{p}" for i, p in enumerate(witness.primes) for j in range(i + 1, count)
         }
+
+
+def test_long_markings_are_built_fast():
+    from mgs.dsl import parse_marked
+
+    for text in ("Z:(1)" + ",(0)" * 1099, "Dinf:a,b" + ",rot(0)" * 1098):
+        with Budget(f"parse_marked of {text[:12]}... ({text.count(',') + 1} entries)", 1):
+            marked = parse_marked(text)
+        assert marked.arity == 1100
+
+
+def test_long_lattices_are_walked_without_recursion(capsys):
+    import sys
+
+    a, b = "Z/2:(1)" + ",(0)" * 299, "Z/1:(0)" + ",(0)" * 299
+    limit = sys.getrecursionlimit()
+    # a walk that recursed once per lattice row would need 300 frames
+    sys.setrecursionlimit(250)
+    try:
+        with Budget("dist of 300-entry markings under a recursion limit of 250", 10):
+            payload = json.loads(_dist(capsys, a, b, 3))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert payload["agreement_radius"] == 0
+    assert payload["separating_word"] == "g1"
+
+
+def test_classify_of_the_trivial_group_at_a_huge_arity_fails_fast(capsys):
+    from mgs.cli import main
+
+    capsys.readouterr()
+    with Budget("classify Z/1 --arity 1000000000", 1):
+        code = main(["classify", "Z/1", "--arity", "1000000000"])
+        out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "1^1000000000 tuples of 1000000000 entries exceed the enumeration budget"
+    }

@@ -3,8 +3,10 @@ import re
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mgs.abelian import AbelianGroup
+from mgs.abelian import AbelianGroup, _identity_matrix, matmul, smith_normal_form
 from mgs.classify import (
     DihAutomorphism,
     canonical_classes,
@@ -17,8 +19,10 @@ from mgs.classify import (
 )
 from mgs import classify
 from mgs.dihedral import GenDihedralGroup, is_generating_dih, materialize_table
-from mgs.tables import load_fixture
+from mgs.tables import FiniteGroupTable, load_fixture
 from mgs.topology import MarkedGroup, agreement_radius
+
+from helpers import random_unimodular
 
 
 def dihedral_table(n):
@@ -119,6 +123,17 @@ def test_enumerate_markings_budget_never_builds_the_tuple_count():
     message = "12^1000000000 tuples exceed the enumeration budget"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         enumerate_markings(dihedral_table(6), 10**9)
+
+
+def test_enumerate_markings_budget_counts_entries():
+    trivial = FiniteGroupTable(1, ((0,),), ("e",))
+    message = "1^1000000000 tuples of 1000000000 entries exceed the enumeration budget"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        enumerate_markings(trivial, 10**9)
+    message = "12^6 tuples of 6 entries exceed the enumeration budget"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        enumerate_markings(dihedral_table(6), 6)
+    assert len(enumerate_markings(trivial, 3)) == 1
 
 
 @pytest.mark.parametrize("arity", [0, -1])
@@ -257,6 +272,18 @@ def test_inverse_is_two_sided(n):
         assert phi.inverse().compose(phi) == identity
 
 
+@given(st.integers(0, 5), st.integers(0, 2**32), st.integers(-3, 3))
+@settings(max_examples=200)
+def test_inverse_against_the_smith_form(n, seed, shift):
+    matrix = random_unimodular(random.Random(seed), n)
+    phi = DihAutomorphism((shift,) * n, matrix)
+    u, _, v = smith_normal_form(matrix)
+    inverse = phi.inverse()
+    assert inverse.matrix == tuple(map(tuple, matmul(v, u)))
+    assert matmul(matrix, inverse.matrix) == _identity_matrix(n)
+    assert phi.compose(inverse) == DihAutomorphism.identity(n + 1)
+
+
 # the witness is unique, so these are the only right answers
 EQUIVALENCE_WITNESSES = {
     2: ((-1,), ((-1,),)),
@@ -316,3 +343,11 @@ def test_dih_automorphism_validation():
         DihAutomorphism((0,), ((2,),))
     with pytest.raises(ValueError):
         DihAutomorphism((0, 0), ((1,),))
+
+
+@pytest.mark.parametrize(
+    "matrix", [((2,),), ((0,),), ((1, 2), (2, 4)), ((1, 1), (1, -1)), ((0, 0), (0, 0))]
+)
+def test_dih_automorphism_refuses_a_matrix_that_is_not_unimodular(matrix):
+    with pytest.raises(ValueError, match="^matrix must be unimodular$"):
+        DihAutomorphism((0,) * len(matrix), matrix)
