@@ -85,12 +85,10 @@ class GenDihedralElement:
         return GenDihedralElement(self.group, -self.v, 0)
 
     def __pow__(self, n: int) -> "GenDihedralElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.group.identity()
-        for _ in range(n):
-            out = out * self
-        return out
+        # rot(v)^n = rot(n*v); a reflection is an involution
+        if self.eps:
+            return self if n % 2 else self.group.identity()
+        return GenDihedralElement(self.group, n * self.v, 0)
 
     def is_identity(self) -> bool:
         return self.eps == 0 and self.v.is_identity()

@@ -110,12 +110,9 @@ class Word:
         return Word(tuple(-l for l in reversed(self.letters)), self.arity)
 
     def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Word((), self.arity)
-        for _ in range(n):
-            result = result * self
-        return result
+        # free reduction is confluent: one pass over the n copies suffices
+        base = self if n >= 0 else self.inverse()
+        return Word(_reduce(base.letters * abs(n)), self.arity)
 
     def exponent_vector(self) -> tuple[int, ...]:
         """Net exponent of each generator (the abelianized image)."""

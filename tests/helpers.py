@@ -4,9 +4,11 @@ Everything here is deliberately independent of the library's fast
 paths: closures by breadth-first multiplication, isomorphism by
 permutation search, group enumeration by partitions, ball comparison
 by visiting every profile in norm order, determinants by Bareiss
-elimination and generation by the Smith diagonal.
+elimination, generation by the Smith diagonal and generalized dihedral
+structure by its definition.
 """
 
+import math
 from itertools import permutations, product
 
 from mgs.abelian import canonical_invariant_factors, smith_normal_form
@@ -244,3 +246,113 @@ def random_unimodular(rng, n):
         else:
             mat[i], mat[j] = mat[j], [a + f * b for a, b in zip(mat[i], mat[j])]
     return mat
+
+
+def _table(rows, labels):
+    from mgs.tables import FiniteGroupTable
+
+    return FiniteGroupTable(len(rows), tuple(map(tuple, rows)), tuple(labels))
+
+
+def direct_product_table(t1, t2):
+    """The table of t1 x t2, with (a, b) at index a * |t2| + b."""
+    n1, n2 = t1.order, t2.order
+    rows = [
+        [t1.rows[a][c] * n2 + t2.rows[b][d] for c in range(n1) for d in range(n2)]
+        for a in range(n1)
+        for b in range(n2)
+    ]
+    return _table(rows, [f"({x},{y})" for x in t1.labels for y in t2.labels])
+
+
+def semidirect_table(n, k, m):
+    """Z/n x|_k Z/m: (a, b)(c, d) = (a + k^b c, b + d), with (a, b) at a*m + b."""
+    if pow(k, m, n) != 1 % n:
+        raise ValueError(f"{k} has no order dividing {m} mod {n}")
+    rows = [
+        [((a + pow(k, b, n) * c) % n) * m + (b + d) % m for c in range(n) for d in range(m)]
+        for a in range(n)
+        for b in range(m)
+    ]
+    return _table(rows, [f"({a},{b})" for a in range(n) for b in range(m)])
+
+
+def _index_closure(rows, gens):
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = rows[x][g]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def _abelian_factors(rows, members):
+    """Invariant factors of an abelian subgroup, matched by its element
+    orders (a finite abelian group is determined by them)."""
+    def order(x):
+        k, y = 1, x
+        while y != 0:
+            y, k = rows[y][x], k + 1
+        return k
+
+    target = sorted(order(x) for x in members)
+    for group in abelian_groups_up_to(len(members)):
+        factors = group.invariant_factors
+        if math.prod(factors) != len(members):
+            continue
+        orders = sorted(
+            math.lcm(*(d // math.gcd(x, d) for x, d in zip(xs, factors)))
+            for xs in product(*(range(d) for d in factors))
+        )
+        if orders == target:
+            return factors
+    raise AssertionError("no abelian group has these element orders")
+
+
+def recognize_by_definition(table):
+    """(kind, invariant factors) by the definition of generalized dihedral.
+
+    A nonabelian group is generalized dihedral when some homomorphism onto
+    Z/2 has an abelian kernel K and an involution s outside K with
+    s*k*s = k^-1 for every k in K; the factors are then those of K.  The
+    homomorphisms are found by sending a generating sequence to every
+    image in Z/2 and checking each candidate on all n^2 pairs.
+    """
+    n, rows = table.order, table.rows
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    if all(rows[a][b] == rows[b][a] for a, b in pairs):
+        return "abelian", _abelian_factors(rows, range(n))
+    gens = []
+    for x in range(n):
+        if x not in _index_closure(rows, gens):
+            gens.append(x)
+    inverse = [row.index(0) for row in rows]
+    for images in product((0, 1), repeat=len(gens)):
+        if not any(images):
+            continue
+        phi = [None] * n
+        phi[0] = 0
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for g, e in zip(gens, images):
+                y = rows[x][g]
+                if phi[y] is None:
+                    phi[y] = phi[x] ^ e
+                    frontier.append(y)
+        if any(phi[rows[a][b]] != phi[a] ^ phi[b] for a, b in pairs):
+            continue
+        kernel = [x for x in range(n) if phi[x] == 0]
+        if any(rows[a][b] != rows[b][a] for a in kernel for b in kernel):
+            continue
+        if any(
+            rows[s][s] == 0 and all(rows[rows[s][k]][s] == inverse[k] for k in kernel)
+            for s in range(n)
+            if phi[s]
+        ):
+            return "generalized-dihedral", _abelian_factors(rows, kernel)
+    return "no", None

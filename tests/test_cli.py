@@ -171,6 +171,9 @@ def test_cb_rank(capsys):
     code, out, _ = run(capsys, "cb-rank", "Dih(Z^2)", "--family", "dihedral")
     assert code == 0
     assert json.loads(out)["rank"] == 2
+    code, out, _ = run(capsys, "cb-rank", "Z/2", "--family", "dihedral")
+    assert code == 0
+    assert json.loads(out) == {"group": "Z/2", "family": "dihedral", "rank": 0}
     code, out, err = run(capsys, "cb-rank", "Dih(Z/2 x Z/4)", "--family", "dihedral")
     assert code == 1
     assert "error" in err
@@ -214,6 +217,31 @@ def test_shipped_fixtures_are_reachable_by_name(capsys):
         assert code == 0 and json.loads(out)["counterexample"] == ["g2", "g4"]
     code, out, _ = run(capsys, "recognize", "A4")
     assert code == 0 and json.loads(out)["kind"] == "no"
+
+
+NOT_A_TABLE = 'a JSON table is an object with a list of rows under "table"'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"order": 2}', NOT_A_TABLE),
+        ("[1, 2]", NOT_A_TABLE),
+        ('{"table": null}', NOT_A_TABLE),
+        ('{"table": [1, 2]}', NOT_A_TABLE),
+        ('{"table": [[0, 1.5], [1, 0]]}', "entry at (0,1) is 1.5, not an integer"),
+        ('{"table": [[0, 1], [1, true]]}', "entry at (1,1) is True, not an integer"),
+        ('{"table": [["0", "1"], ["1", "0"]]}', "entry at (0,0) is '0', not an integer"),
+    ],
+    ids=["no-table", "list", "null-table", "flat-rows", "float", "bool", "strings"],
+)
+def test_malformed_json_tables_are_one_json_error(tmp_path, capsys, text, message):
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    for argv in (["recognize", str(path)], ["check", "forall x : x^2 = 1", "--in", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and json.loads(err) == {"error": message}
 
 
 def test_unknown_names_keep_the_parse_error(capsys):

@@ -303,3 +303,27 @@ def test_print_round_trips_random_sentences():
     for _ in range(120):
         s = UniversalSentence(3, random_formula(rng))
         assert parse_sentence(print_sentence(s)) == s
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_marked, "Z:a", "aliases a, b, c, ... are defined for dihedral groups only"),
+        (parse_marked, "Dinf:ab", "unknown element alias 'ab'"),
+        (parse_marked, "Dinf:a,c", "alias 'c' needs base coordinate 2, but the base has rank 1"),
+        (parse_marked, "D6:1", "expected an element literal (line 1, column 4)"),
+        (parse_group, "Z junk", "unexpected trailing input 'junk' (line 1, column 3)"),
+        (parse_sentence, "@", "expected a built-in sentence name after '@' (line 1, column 2)"),
+        (parse_sentence, "x = 1", "a sentence starts with 'forall' or '@' (line 1, column 1)"),
+    ],
+)
+def test_error_messages_are_pinned(parse, text, message):
+    with pytest.raises(ValueError) as refused:
+        parse(text)
+    assert str(refused.value) == message
+
+
+def test_six_variables_print_as_numbered_names():
+    s = parse_sentence("forall a b c d e f : a*b*c = d*e*f")
+    assert print_sentence(s) == "forall x1 x2 x3 x4 x5 x6 : x1*x2*x3 = x4*x5*x6"
+    assert parse_sentence(print_sentence(s)) == s

@@ -4,11 +4,13 @@ import random
 import re
 import subprocess
 import sys
+import time
 from itertools import product
 
 import pytest
 
 from mgs.abelian import AbelianGroup
+from mgs.classify import enumerate_markings
 from mgs.dihedral import GenDihedralGroup, materialize_table
 from mgs.tables import (
     TableError,
@@ -23,7 +25,14 @@ from mgs.tables import (
     validate_table,
 )
 
-from helpers import abelian_groups_up_to, automorphisms_by_permutations, relabel
+from helpers import (
+    abelian_groups_up_to,
+    automorphisms_by_permutations,
+    direct_product_table,
+    recognize_by_definition,
+    relabel,
+    semidirect_table,
+)
 
 FIXTURES = (
     "A4", "D2", "D4", "D6", "D8", "D10", "D12", "D14", "D16", "D18", "D20", "D22", "D24",
@@ -123,6 +132,41 @@ def test_validate_names_the_first_failing_triple_of_swapped_intercalates():
                 validate_table(rows)
             assert str(info.value) == expected
     assert failing >= 50
+
+
+@pytest.mark.parametrize(
+    "raw, labels, message",
+    [
+        ([], None, "empty table"),
+        ([[0, 1], [1]], None, "row 1 has length 1, expected 2"),
+        ([[0, 2], [1, 0]], None, "entry at (0,1) is 2, out of range"),
+        ([[0, 1], [1, 1]], None, "row 1 is not a permutation"),
+        ([[0, 1], [1, 0]], ["a"], "1 labels for 2 elements"),
+        (
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+            None,
+            "element 2 has no two-sided inverse",
+        ),
+    ],
+)
+def test_validation_messages_are_pinned(raw, labels, message):
+    with pytest.raises(TableError) as refused:
+        validate_table(raw, labels)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (loads_text, "# only a comment\n", "empty table file"),
+        (loads_text, "2\n0 1\n", "expected 2 rows, found 1"),
+        (loads_json, '{"order": 3, "table": [[0, 1], [1, 0]]}', "declared order does not match the table"),
+    ],
+)
+def test_load_messages_are_pinned(load, text, message):
+    with pytest.raises(TableError) as refused:
+        load(text)
+    assert str(refused.value) == message
 
 
 def test_validate_assoc_bound():
@@ -257,6 +301,39 @@ def test_automorphism_bound():
         automorphism_group(t)
 
 
+def test_automorphism_budget_counts_candidates():
+    t = materialize_table(AbelianGroup(0, (2,) * 5))
+    start = time.monotonic()
+    with pytest.raises(ValueError) as refused:
+        automorphism_group(t)
+    assert time.monotonic() - start < 1
+    assert str(refused.value) == (
+        "28629151 candidates times order 32 = 916132832 exceed "
+        "the automorphism search budget 100000000"
+    )
+    for name in FIXTURES:  # DihZ4xZ4, the largest, tries 2,736 candidates
+        assert automorphism_group(load_fixture(name))
+
+
+def test_tables_over_the_automorphism_budget_never_reach_it_from_classify():
+    # the abelian and Dih(A) tables of order <= 100 over the budget: each
+    # has n^d tuples of d entries over the enumeration budget, d being
+    # the least number of generators
+    abelian = (
+        (2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2), (3, 3, 3, 3), (2, 2, 4, 4), (2, 2, 2, 10),
+        (2, 2, 2, 12), (2, 2, 2, 2, 4), (2, 2, 2, 2, 6),
+    )
+    dihedral = ((2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 2, 4), (2, 2, 2, 6))
+    over = [(AbelianGroup(0, f), len(f)) for f in abelian]
+    over += [(GenDihedralGroup(AbelianGroup(0, f)), len(f) + 1) for f in dihedral]
+    for group, d in over:
+        t = materialize_table(group)
+        with pytest.raises(ValueError, match="automorphism search budget"):
+            automorphism_group(t)
+        with pytest.raises(ValueError, match="enumeration budget"):
+            enumerate_markings(t, d)
+
+
 def test_automorphisms_match_the_permutation_search_up_to_order_6():
     # every group of order <= 6 is abelian or Dih(Z/3)
     rng = random.Random(6)
@@ -334,6 +411,50 @@ def test_recognize_q8_and_klein():
 
 def test_recognize_a4():
     assert recognize_generalized_dihedral(load_fixture("A4")).kind == "no"
+
+
+def recognition_tables():
+    """The fixtures, every abelian and Dih(A) table up to order 64, direct
+    products and semidirect products Z/n x|_k Z/m, then a relabeled copy
+    of each."""
+    f = {name: load_fixture(name) for name in FIXTURES}
+    z = {n: materialize_table(AbelianGroup(0, (n,))) for n in (2, 3, 4)}
+    tables = list(f.values()) + groups_up_to(64)
+    for left, right in (
+        (f["D8"], z[3]), (f["Q8"], z[2]), (f["Q8"], z[3]), (f["A4"], z[2]),
+        (f["D6"], f["D6"]), (f["D6"], z[4]), (f["D8"], f["D8"]),
+    ):
+        tables.append(direct_product_table(left, right))
+    for n, k, m in (
+        (3, 2, 4), (7, 2, 3), (5, 2, 4), (5, 4, 4), (8, 3, 2), (8, 5, 2), (9, 8, 2),
+        (16, 7, 2), (13, 3, 3),
+    ):
+        tables.append(semidirect_table(n, k, m))
+    rng = random.Random(15)
+    return tables + [relabel(t, rng) for t in tables]
+
+
+def test_recognition_matches_the_definition():
+    kinds = set()
+    for t in recognition_tables():
+        out = recognize_generalized_dihedral(t)
+        kind, factors = recognize_by_definition(t)
+        assert out.kind == kind, t.labels
+        kinds.add(kind)
+        if kind == "no":
+            assert out.base is None and out.rotation_part is None
+            continue
+        assert out.base == AbelianGroup(0, factors)
+        if kind == "abelian":
+            continue
+        # what the index test no longer checks: the rotation part is
+        # abelian and every flip inverts it
+        rows, inv = t.rows, t.inverses
+        rotations, flips = out.rotation_part, out.flip_coset
+        assert sorted(rotations + flips) == list(range(t.order))
+        assert all(rows[a][b] == rows[b][a] for a in rotations for b in rotations)
+        assert all(rows[rows[s][a]][inv[s]] == inv[a] for s in flips for a in rotations)
+    assert kinds == {"abelian", "generalized-dihedral", "no"}
 
 
 def test_recognize_all_small_bases():

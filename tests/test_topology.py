@@ -432,6 +432,8 @@ def test_rank_of_limit():
     assert rank_of_limit(GenDihedralGroup(AbelianGroup(0, ()))) == 1
     assert rank_of_limit(GenDihedralGroup(AbelianGroup(0, (2,)))) == 2
     assert rank_of_limit(GenDihedralGroup(canonical_invariant_factors([None, 6]))) == 3
+    assert rank_of_limit(AbelianGroup(0, (2,))) == 1
+    assert rank_of_limit(AbelianGroup(0, (2, 2))) == 2
     with pytest.raises(FamilyError):
         rank_of_limit(GenDihedralGroup(AbelianGroup(0, (2, 4))))
 
