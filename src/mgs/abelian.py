@@ -364,20 +364,28 @@ class AbelianElement:
     free: tuple[int, ...]
     torsion: tuple[int, ...]
 
-    def _check(self, other: "AbelianElement") -> None:
-        if self.group != other.group:
-            raise ValueError("elements belong to different groups")
+    # Results skip AbelianGroup.element: their coordinates are integers of
+    # the right count already, so each torsion coordinate is only reduced.
 
     def __add__(self, other: "AbelianElement") -> "AbelianElement":
-        self._check(other)
-        return self.group.element(
+        g = self.group
+        if other.group is not g and other.group != g:
+            raise ValueError("elements belong to different groups")
+        return AbelianElement(
+            g,
             tuple(a + b for a, b in zip(self.free, other.free)),
-            tuple(a + b for a, b in zip(self.torsion, other.torsion)),
+            tuple(
+                (a + b) % d
+                for a, b, d in zip(self.torsion, other.torsion, g.invariant_factors)
+            ),
         )
 
     def __neg__(self) -> "AbelianElement":
-        return self.group.element(
-            tuple(-a for a in self.free), tuple(-a for a in self.torsion)
+        g = self.group
+        return AbelianElement(
+            g,
+            tuple(-a for a in self.free),
+            tuple(-a % d for a, d in zip(self.torsion, g.invariant_factors)),
         )
 
     def __sub__(self, other: "AbelianElement") -> "AbelianElement":
@@ -386,8 +394,11 @@ class AbelianElement:
     def __rmul__(self, n: int) -> "AbelianElement":
         if not isinstance(n, int):
             return NotImplemented
-        return self.group.element(
-            tuple(n * a for a in self.free), tuple(n * a for a in self.torsion)
+        g = self.group
+        return AbelianElement(
+            g,
+            tuple(n * a for a in self.free),
+            tuple(n * a % d for a, d in zip(self.torsion, g.invariant_factors)),
         )
 
     def is_identity(self) -> bool:

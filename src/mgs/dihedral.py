@@ -70,12 +70,9 @@ class GenDihedralElement:
     v: AbelianElement
     eps: int
 
-    def _check(self, other: "GenDihedralElement") -> None:
-        if self.group != other.group:
-            raise ValueError("elements belong to different groups")
-
     def __mul__(self, other: "GenDihedralElement") -> "GenDihedralElement":
-        self._check(other)
+        if other.group is not self.group and other.group != self.group:
+            raise ValueError("elements belong to different groups")
         w = other.v if self.eps == 0 else -other.v
         return GenDihedralElement(self.group, self.v + w, self.eps ^ other.eps)
 

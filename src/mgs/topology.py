@@ -9,14 +9,15 @@ exactly computed balls.
 
 An abelian or Dih(A) marking is read through its base view (`_parts`):
 the base group and each entry's base part and eps bit.  Two comparison
-routes are implemented, and each compiles a marking once per comparison
-into plain integers.  The generic route enumerates reduced words
-outright on the multiplication of `_ops`.  For abelian and generalized
-dihedral markings a word's value depends only on its net letter
-contributions, its profile, and the relation profiles form a lattice
-(the subgroups of Z^m are the marked abelian groups on m generators;
-Champetier 2000).  The profile route builds each marking's lattice in
-Hermite normal form (Cohen, GTM 138, 2.4), answers at once when the two
+routes are implemented, and each compiles a marking into plain
+integers.  The generic route enumerates reduced words outright on the
+multiplication of `_ops`, compiled once per comparison.  For abelian and
+generalized dihedral markings a word's value depends only on its net
+letter contributions, its profile, and the relation profiles form a
+lattice (the subgroups of Z^m are the marked abelian groups on m
+generators; Champetier 2000).  The profile route builds each marking's
+lattice in Hermite normal form (Cohen, GTM 138, 2.4) once per marking
+object (`MarkedGroup._profile`), answers at once when the two
 are equal, and otherwise lists the short points of each lattice,
 doubling the norm, and tests them against the other marking.  Its work
 follows the lattice points of norm below twice the first mismatch, not
@@ -129,6 +130,14 @@ class MarkedGroup:
         else:
             gens = ",".join(str(x) for x in self.generators)
         return f"{self.group}:{gens}"
+
+    @cached_property
+    def _profile(self):
+        """(columns, relation lattice) of an abelian or Dih(A) marking,
+        compiled on first use: both depend on the marking alone."""
+        columns = _columns(self)
+        n_rot = self.arity - sum(_profile_pattern(self))
+        return columns, _relation_lattice(columns, self.arity, n_rot)
 
 
 @dataclass(frozen=True)
@@ -287,6 +296,9 @@ def _compare_enumerate(a: MarkedGroup, b: MarkedGroup, r_max: int):
         for w, ya, yb in layer:
             if (ya == id_a) != (yb == id_b):
                 return length - 1, Word(w, a.arity)
+    # The walk may end early, exhausted.  Then no reached pair has exactly
+    # one side the identity, so the pairs form the graph of an isomorphism
+    # carrying generators to generators: the balls agree at every radius.
     return r_max, None
 
 
@@ -397,10 +409,8 @@ def _profile_word(marked: MarkedGroup, x: tuple[int, ...], d: tuple[int, ...]) -
 
 
 def _compare_profiles(a: MarkedGroup, b: MarkedGroup, r_max: int):
-    cols_a, cols_b = _columns(a), _columns(b)
-    n_rot = a.arity - sum(_profile_pattern(a))
-    lat_a = _relation_lattice(cols_a, a.arity, n_rot)
-    lat_b = _relation_lattice(cols_b, a.arity, n_rot)
+    # both markings share one eps pattern, so their lattices share one layout
+    (cols_a, lat_a), (cols_b, lat_b) = a._profile, b._profile
     if lat_a == lat_b:
         return r_max, None
     # A nonzero lattice point is at least its first nonzero coefficient
@@ -419,6 +429,7 @@ def _compare_profiles(a: MarkedGroup, b: MarkedGroup, r_max: int):
         radius *= 2
     if not misses:
         return r_max, None
+    n_rot = a.arity - sum(_profile_pattern(a))
 
     def order(p):
         x, d = p[:n_rot], p[n_rot:]

@@ -187,6 +187,8 @@ def walk_ball(arity: int, radius: int, ops_a, ops_b, *, distinct: bool = False):
     breadth-first search of the pair marking: each pair keeps its least
     word, a geodesic, and every prefix of that word is the least word of
     its own pair, so the surviving words are exactly those least words.
+    Once a layer comes out empty every pair is reached, and the walk ends
+    before the cap is checked again: no longer layer holds a record.
     """
     letters = letter_order(arity)
     _, mul_a, val_a = ops_a
@@ -194,6 +196,8 @@ def walk_ball(arity: int, radius: int, ops_a, ops_b, *, distinct: bool = False):
     layer = [((), ops_a[0], ops_b[0])]
     seen = {(ops_a[0], ops_b[0])}
     for length in range(1, radius + 1):
+        if not layer:
+            return
         check_cap(arity, length)
         nxt = []
         for w, xa, xb in layer:

@@ -4,7 +4,7 @@ import shlex
 
 import pytest
 
-from mgs import tables
+from mgs import cli, tables
 from mgs.cli import main
 from mgs.tables import dumps_text, load_fixture
 
@@ -43,6 +43,24 @@ def test_dist_methods(capsys):
         main(["dist", "Z/5:(1)", "Z:(1)", "--method", "profile"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "a, b, r_max",
+    [
+        ("D6:a,b", "D6:a,b", "30"),
+        ("Dih(Z/4 x Z/4):a,b,c", "Dih(Z/4 x Z/4):a,c,b", "9"),
+        ("D6:a,b", "D6:a,b", "1000000000"),
+        ("Dih(Z/4 x Z/4):a,b,c", "Dih(Z/4 x Z/4):a,c,b", "1000000000"),
+    ],
+)
+def test_dist_enumerate_answers_once_the_pair_walk_is_exhausted(capsys, a, b, r_max):
+    code, out, err = run(capsys, "dist", a, b, "--rmax", r_max, "--method", "enumerate")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["agreement_radius"] == int(r_max)
+    assert payload["separating_word"] is None
+    assert run(capsys, "dist", a, b, "--rmax", r_max) == (code, out, err)
 
 
 def test_converge(capsys):
@@ -370,3 +388,65 @@ def test_bad_input_is_one_json_error(capsys, argv, exit_code):
     assert isinstance(payload, dict) and "error" in payload
     if argv[0] in ("converge", "closure-map"):
         assert "a..b" in payload["error"]
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one call, usage errors and --help too."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+KINDS = {
+    "success": ["dist", "D6:a,b", "Dinf:a,b"],
+    "usage error": ["dist", "D6:a,b"],
+    "help": ["dist", "--help"],
+    "json error": ["ball", "D6:a,b", "--radius", "-1"],
+}
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+
+    def spy():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for argv in list(KINDS.values()) * 2 + [KINDS["success"]] * 2:
+        outcome(capsys, argv)
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("before", KINDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_kept_parser_answers_as_a_fresh_one(monkeypatch, capsys, kind, before):
+    monkeypatch.setattr(cli, "_parser", None)  # as at the start of a process
+    first = outcome(capsys, KINDS[kind])
+    monkeypatch.setattr(cli, "_parser", None)
+    outcome(capsys, KINDS[before])
+    assert outcome(capsys, KINDS[kind]) == first
+    assert first[0] == {"success": 0, "usage error": 2, "help": 0, "json error": 1}[kind]
+
+
+def test_a_kept_parser_reads_the_ball_cap_on_every_call(monkeypatch, capsys):
+    argv = ["ball", "Dinf:a,b", "--radius", "5"]
+    monkeypatch.delenv("MGS_BALL_CAP", raising=False)
+    assert outcome(capsys, argv)[0] == 0
+    monkeypatch.setenv("MGS_BALL_CAP", "100")
+    code, out, err = outcome(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "radius-5 stratum over 2 generators exceeds the cap of 100"
+    }
+    monkeypatch.delenv("MGS_BALL_CAP")
+    assert outcome(capsys, argv)[0] == 0

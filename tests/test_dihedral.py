@@ -180,3 +180,82 @@ def test_element_rendering():
     assert str(g.element(g.base.element((2,), (3,)), 1)) == "ref(2;3)"
     assert str(D12.rotation([4])) == "rot(4)"
     assert str(DINF.reflection([0])) == "ref(0)"
+
+
+# ---------------------------------------------------------------------------
+# Group arithmetic against the validating constructors
+
+
+@st.composite
+def arithmetic_cases(draw):
+    """A random Z^r x Z/d_1 x ... x Z/d_t (r <= 3, t <= 3, chained
+    factors), raw coordinates of two elements, two eps bits and a
+    multiplier."""
+    free = draw(st.integers(0, 3))
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        step = draw(st.integers(1, 4)) if factors else draw(st.integers(2, 4))
+        factors.append((factors[-1] if factors else 1) * step)
+    coords = st.tuples(
+        st.lists(st.integers(-20, 20), min_size=free, max_size=free),
+        st.lists(st.integers(-50, 50), min_size=len(factors), max_size=len(factors)),
+    )
+    return (
+        free,
+        tuple(factors),
+        draw(coords),
+        draw(coords),
+        draw(st.integers(0, 1)),
+        draw(st.integers(0, 1)),
+        draw(st.integers(-7, 7)),
+    )
+
+
+def raw_map(f, *raws):
+    """Apply f coordinatewise to raw (free, torsion) coordinate pairs."""
+    return tuple(list(map(f, *parts)) for parts in zip(*raws))
+
+
+@given(arithmetic_cases())
+@settings(max_examples=300, deadline=None)
+def test_group_arithmetic_matches_the_validating_constructors(case):
+    free, factors, raw_x, raw_y, ex, ey, n = case
+    g = AbelianGroup(free, factors)
+    twin = AbelianGroup(free, factors)  # equal, but a distinct object
+    x, y = g.element(*raw_x), twin.element(*raw_y)
+    pairs = [
+        (x + y, g.element(*raw_map(operator.add, raw_x, raw_y))),
+        (-x, g.element(*raw_map(operator.neg, raw_x))),
+        (x - y, g.element(*raw_map(operator.sub, raw_x, raw_y))),
+        (n * x, g.element(*raw_map(lambda a: n * a, raw_x))),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert got.group == g
+        assert all(0 <= c < d for c, d in zip(got.torsion, factors))
+
+    dg, dtwin = GenDihedralGroup(g), GenDihedralGroup(twin)
+    s, t = dg.element(x, ex), dtwin.element(y, ey)
+    sign = -1 if ex else 1
+    product = raw_map(lambda a, b: a + sign * b, raw_x, raw_y)
+    inverse = raw_x if ex else raw_map(operator.neg, raw_x)
+    if ex:
+        power = dg.element(g.element(*raw_x), 1) if n % 2 else dg.identity()
+    else:
+        power = dg.element(g.element(*raw_map(lambda a: n * a, raw_x)), 0)
+    pairs = [
+        (s * t, dg.element(g.element(*product), ex ^ ey)),
+        (s.inverse(), dg.element(g.element(*inverse), ex)),
+        (s**n, power),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert all(0 <= c < d for c, d in zip(got.v.torsion, factors))
+
+    other = AbelianGroup(free + 1, factors)
+    z = other.identity()
+    for combine in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="different groups"):
+            combine(x, z)
+    with pytest.raises(ValueError, match="different groups"):
+        s * GenDihedralGroup(other).identity()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mgs import topology
 from mgs.abelian import AbelianGroup, canonical_invariant_factors
+from mgs.closure_map import emit_closure_map
 from mgs.dihedral import GenDihedralGroup
 from mgs.dsl import parse_marked
 from mgs.tables import load_fixture
@@ -708,3 +709,54 @@ def test_profile_route_far_witnesses(a, b, radius, witness):
     assert got == profile_loop(a, b, 30)
     assert got[0] == radius
     assert (got[1] and str(got[1])) == witness
+
+
+# ---------------------------------------------------------------------------
+# One relation lattice per marking
+
+
+def fresh(marked):
+    """An equal marking object that has compiled nothing yet."""
+    return MarkedGroup(marked.group, marked.generators)
+
+
+def count_lattice_builds(monkeypatch):
+    calls = []
+    build = topology._relation_lattice
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(topology, "_relation_lattice", spy)
+    return calls
+
+
+def test_the_closure_map_builds_one_lattice_per_node(monkeypatch):
+    calls = count_lattice_builds(monkeypatch)
+    emit_closure_map(range(3, 9))
+    assert len(calls) == 22
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_convergence_builds_the_limit_lattice_once(monkeypatch, k):
+    calls = count_lattice_builds(monkeypatch)
+    check_convergence(dihedral_marked, dihedral_marked(None), range(3, 3 + k))
+    assert len(calls) == k + 1
+
+
+@given(st.one_of(abelian_pairs(), dihedral_pairs()), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_reused_markings_compare_as_fresh_ones(pair, r_max):
+    a, b = pair
+    keys = [(m, hash(m)) for m in (a, b)]
+    for m in (a, b):
+        n_rot = m.arity - sum(topology._profile_pattern(m))
+        columns = topology._columns(m)
+        assert m._profile == (columns, topology._relation_lattice(columns, m.arity, n_rot))
+    # each object is compared more than once, both ways and at two radii
+    for radius in (r_max, r_max + 3):
+        assert _compare_profiles(a, b, radius) == oracle_profiles(fresh(a), fresh(b), radius)
+        assert _compare_profiles(b, a, radius) == oracle_profiles(fresh(b), fresh(a), radius)
+    for m, h in keys:
+        assert m == fresh(m) and hash(m) == h == hash(fresh(m))

@@ -20,6 +20,7 @@ from mgs.dsl import parse_marked
 from mgs.tables import load_fixture
 from mgs.topology import (
     MarkedGroup,
+    _compare,
     _ops,
     agreement_radius,
     relation_ball,
@@ -151,8 +152,14 @@ def test_cap_refuses_a_ball_up_front_but_not_an_early_witness(monkeypatch):
     assert str(separating_word(marked, dinf, 20)) == "g2^3"
     with pytest.raises(BallCapExceeded):
         relation_ball(marked, 5)
-    with pytest.raises(BallCapExceeded):
-        agreement_radius(marked, marked, 8)
+    # D6 against itself reaches its 6 pairs within length 3 and the walk
+    # ends, exhausted, before length 4's stratum of 108 is checked
+    assert agreement_radius(marked, marked, 8) == 8
+    assert separating_word(marked, marked, 8) is None
+    # an infinite pair never exhausts, so length 4 is still refused
+    dinf_image = parse_marked("Dinf:ref(1),rot(1)")
+    with pytest.raises(BallCapExceeded, match="^radius-4 stratum"):
+        agreement_radius(dinf, dinf_image, 8, method="enumerate")
 
 
 def test_relation_ball_dinf_radius_12():
@@ -303,6 +310,59 @@ def test_pruned_enumeration_matches_the_full_walk_and_the_oracle(case):
     assert unpruned_compare(a, b, r_max) == expected
     assert agreement_radius(a, b, r_max, method="enumerate") == expected[0]
     assert separating_word(a, b, r_max, method="enumerate") == expected[1]
+
+
+# ---------------------------------------------------------------------------
+# The pair walk stops once it is exhausted
+
+FINITE_TABLES = ("D6", "D8", "D10", "D12", "D14", "D16")
+
+
+def stop_length(a, b):
+    """The length of the first mismatch of the pair walk, else the length
+    of its first empty layer; BallCapExceeded when the cap comes first."""
+    ops_a, ops_b = _ops(a), _ops(b)
+    layers = walk_ball(a.arity, 10**9, ops_a, ops_b, distinct=True)
+    for length, layer in enumerate(layers, start=1):
+        if not layer or any((ya == ops_a[0]) != (yb == ops_b[0]) for _, ya, yb in layer):
+            return length
+
+
+@st.composite
+def finite_comparisons(draw):
+    """Two random generating tuples of finite fixture tables of one arity;
+    half the time both take the same moves from matching seeds, so that
+    they are often one marked group."""
+    arity = draw(st.integers(2, 3))
+    names = FINITE_TABLES + (("DihZ4xZ4",) if arity == 3 else ())
+    steps = draw(moves)
+    a = mixed_table(draw(st.sampled_from(names)), arity, steps)
+    other = steps if draw(st.booleans()) else draw(moves)
+    b = mixed_table(draw(st.sampled_from(names)), arity, other)
+    return a, b
+
+
+@given(finite_comparisons())
+@example((mixed_table("D24", 2, []), mixed_table("D24", 2, [])))
+@example((mixed_table("DihZ4xZ4", 3, []), mixed_table("DihZ4xZ4", 3, [("swap", 1, 2, False)])))
+@settings(max_examples=100, deadline=None)
+def test_exhausted_walk_answers_far_past_its_end(pair):
+    a, b = pair
+    small = 4 if a.arity == 2 else 3
+    assert _compare(a, b, small, "enumerate") == oracle_compare(a, b, small)
+    try:
+        length = stop_length(a, b)
+    except BallCapExceeded:
+        # neither a mismatch nor exhaustion below the cap (two reflections
+        # whose product has order 7 against order 8, say): still refused
+        with pytest.raises(BallCapExceeded):
+            _compare(a, b, 50, "enumerate")
+        return
+    radius, witness = _compare(a, b, length, "enumerate")
+    assert witness is None or radius == length - 1
+    for r_max in (50, 10**9):
+        far = _compare(a, b, r_max, "enumerate")
+        assert far == ((r_max, None) if witness is None else (radius, witness))
 
 
 # ---------------------------------------------------------------------------
