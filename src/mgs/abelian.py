@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import count, islice, product
 from typing import Iterable, Iterator, Sequence
 
 INFINITE = math.inf
@@ -249,8 +249,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def primes() -> Iterator[int]:
-    return (n for n in count(2) if _is_prime(n))
+def primes_avoiding(n: int, k: int) -> tuple[int, ...]:
+    """The k least primes that do not divide n, a positive integer."""
+    if n < 1:
+        raise ValueError("every prime divides 0")
+    return tuple(islice((p for p in count(2) if n % p and _is_prime(p)), k))
 
 
 @dataclass(frozen=True)
@@ -583,15 +586,7 @@ def cyclic_residual_quotient(
             raise ValueError("the identity cannot be kept nontrivial")
     k = group.invariant_factors[0] if group.invariant_factors else 1
     forbidden = {abs(c) for x in elements for c in x.free if c != 0}
-    chosen: list[int] = []
-    for p in primes():
-        if len(chosen) == group.free_rank:
-            break
-        if k % p == 0:
-            continue
-        if any(e % p == 0 for e in forbidden):
-            continue
-        chosen.append(p)
+    chosen = primes_avoiding(k * math.prod(forbidden), group.free_rank)
     modulus = k * math.prod(chosen)
     free_mult = tuple(modulus // p for p in chosen)
     torsion_mult = (modulus // k,) if group.invariant_factors else ()

@@ -78,7 +78,8 @@ def cmd_dist(args) -> int:
             "r_max": args.rmax,
             "agreement_radius": radius,
             "exact": witness is not None,
-            "distance": 0.0 if witness is None else 2.0 ** -(radius + 1),
+            # past radius 1073 the float rounds to 0.0, so the exact value is text
+            "distance": 0.0 if witness is None else 2.0 ** -(radius + 1) or f"2^-{radius + 1}",
             "separating_word": None if witness is None else str(witness),
         }
     )
@@ -160,7 +161,8 @@ def cmd_check(args) -> int:
 def cmd_classify(args) -> int:
     structure, group = _structure(args.target)
     arity = args.arity
-    if isinstance(group, GenDihedralGroup) and not group.base.invariant_factors:
+    # Dih(Z^r) with r >= 1 has canonical classes; a finite base takes the table route
+    if isinstance(group, GenDihedralGroup) and group.base.rank == group.base.free_rank > 0:
         length = group.base.free_rank + 1
         if arity not in (None, length):
             raise ValueError(f"markings of {group} have length {length}, not {arity}")

@@ -56,10 +56,18 @@ MAX_NESTING = 100
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
+    """A syntax error at an offset of the text; its line and column are
+    counted only when read, as a reparse discards most errors unread."""
+
+    def __init__(self, message: str, text: str, offset: int):
+        super().__init__(message)
+        self.text, self.offset = text, offset
+
+    line = property(lambda self: self.text.count("\n", 0, self.offset) + 1)
+    column = property(lambda self: self.offset - self.text.rfind("\n", 0, self.offset))
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (line {self.line}, column {self.column})"
 
 
 class _TooDeep(ParseError):
@@ -79,35 +87,27 @@ _TOKEN_RE = re.compile(
 class _Token(NamedTuple):
     kind: str  # 'int' | 'name' | 'sym' | 'end'
     text: str
-    line: int
-    column: int
+    offset: int  # into the text
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+            raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
         kind = m.lastgroup
-        chunk = m.group()
         if kind != "ws":
-            tokens.append(_Token("sym" if kind in ("arrow", "ne") else kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
+            tokens.append(_Token("sym" if kind in ("arrow", "ne") else kind, m.group(), pos))
         pos = m.end()
-    tokens.append(_Token("end", "", line, col))
+    tokens.append(_Token("end", "", pos))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -124,7 +124,7 @@ class _Parser:
 
     def error(self, message: str, token: _Token | None = None):
         tok = token or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise ParseError(message, self.text, tok.offset)
 
     def expect_sym(self, text: str, production: str) -> _Token:
         tok = self.peek()
@@ -140,10 +140,8 @@ class _Parser:
         """Open one more level of nesting at the current token; the
         caller closes it with `self.depth -= 1`."""
         if self.depth == MAX_NESTING:
-            tok = self.peek()
-            raise _TooDeep(
-                f"{production} nested deeper than {MAX_NESTING} levels", tok.line, tok.column
-            )
+            message = f"{production} nested deeper than {MAX_NESTING} levels"
+            raise _TooDeep(message, self.text, self.peek().offset)
         self.depth += 1
 
     def expect_end(self):
@@ -201,9 +199,9 @@ class _Parser:
         if name == "Dih":
             self.next()
             self.expect_sym("(", "Dih(...)")
-            base = self.group_orders("the base of Dih(...) must be abelian")
+            base = self.group("the base of Dih(...) must be abelian")
             self.expect_sym(")", "Dih(...)")
-            return GenDihedralGroup(canonical_invariant_factors(base))
+            return GenDihedralGroup(base)
         if name == "Dinf":
             self.next()
             return GenDihedralGroup(AbelianGroup(1, ()))
@@ -216,8 +214,9 @@ class _Parser:
             return GenDihedralGroup(canonical_invariant_factors([order // 2]))
         self.error(f"unknown group name {name!r}", tok)
 
-    def group_orders(self, abelian: str | None = None) -> list:
-        """A product of cyclic orders; dihedral atoms may not be multiplied."""
+    def group(self, abelian: str | None = None):
+        """A dihedral atom alone, or a product of abelian atoms; where only
+        an abelian group may stand, `abelian` is the error for a dihedral one."""
         atom = self.group_atom(abelian)
         if isinstance(atom, GenDihedralGroup):
             if self.peek().kind == "name" and self.peek().text == "x":
@@ -227,13 +226,7 @@ class _Parser:
         while self.peek().kind == "name" and self.peek().text == "x":
             self.next()
             orders.extend(self.group_atom("dihedral groups cannot be factors of a product"))
-        return orders
-
-    def group(self):
-        out = self.group_orders()
-        if isinstance(out, GenDihedralGroup):
-            return out
-        return canonical_invariant_factors(out)
+        return canonical_invariant_factors(orders)
 
     # -- elements -----------------------------------------------------
 

@@ -97,28 +97,21 @@ class SentenceCheck:
         return self.holds
 
 
-def _eval_term(word: Word, assignment, rows, inverses) -> int:
-    v = 0
-    for ell in word.letters:
-        v = rows[v][assignment[ell - 1] if ell > 0 else inverses[assignment[-ell - 1]]]
-    return v
-
-
-def _truth(formula, assignment, rows, inverses) -> bool:
+def _truth(formula, assignment, table) -> bool:
     """Two-valued evaluation at an assignment that binds every variable."""
     if isinstance(formula, Atom):
-        a, b = [_eval_term(w, assignment, rows, inverses) for w in (formula.left, formula.right)]
+        a, b = [table.evaluate(w.letters, assignment) for w in (formula.left, formula.right)]
         return (a == b) == formula.positive
     if isinstance(formula, Not):
-        return not _truth(formula.child, assignment, rows, inverses)
+        return not _truth(formula.child, assignment, table)
     if isinstance(formula, (And, Or)):
         decisive = isinstance(formula, Or)
         for child in formula.children:
-            if _truth(child, assignment, rows, inverses) == decisive:
+            if _truth(child, assignment, table) == decisive:
                 return decisive
         return not decisive
-    hypothesis = _truth(formula.hypothesis, assignment, rows, inverses)
-    return not hypothesis or _truth(formula.conclusion, assignment, rows, inverses)
+    hypothesis = _truth(formula.hypothesis, assignment, table)
+    return not hypothesis or _truth(formula.conclusion, assignment, table)
 
 
 # A compiled decider maps the atom values to True, False or None (not settled
@@ -235,7 +228,7 @@ def holds_in(
         return SentenceCheck(True, None)
     witness = tuple(env[1 : k + 1])
     # counterexamples are re-evaluated before being handed back
-    if _truth(sentence.body, witness, table.rows, table.inverses):
+    if _truth(sentence.body, witness, table):
         raise AssertionError("internal error: counterexample does not falsify the body")
     return SentenceCheck(False, witness)
 
@@ -244,7 +237,7 @@ def evaluate_body(table: FiniteGroupTable, body: Formula, assignment) -> bool:
     """Plain evaluation of a quantifier-free body at a full assignment."""
     if _max_variable(body) > len(assignment):
         raise ValueError("assignment does not bind every variable")
-    return _truth(body, tuple(assignment), table.rows, table.inverses)
+    return _truth(body, tuple(assignment), table)
 
 
 # ---------------------------------------------------------------------------

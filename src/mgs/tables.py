@@ -50,6 +50,14 @@ class FiniteGroupTable:
     def inv(self, i: int) -> int:
         return self.inverses[i]
 
+    def evaluate(self, letters: Sequence[int], values: Sequence[int]) -> int:
+        """The element a word's letters name, letter i standing for values[i - 1]."""
+        rows, inverses = self.rows, self.inverses
+        v = 0
+        for ell in letters:
+            v = rows[v][values[ell - 1] if ell > 0 else inverses[values[-ell - 1]]]
+        return v
+
     def power(self, i: int, n: int) -> int:
         if n < 0:
             return self.power(self.inv(i), -n)

@@ -7,11 +7,12 @@ relation balls induces the metric 2^-(R+1); everything here (distances,
 convergence reports, accumulation witnesses) is phrased in terms of
 exactly computed balls.
 
-An abelian or Dih(A) marking is read through its base view (`_parts`):
-the base group and each entry's base part and eps bit.  Two comparison
-routes are implemented, and each compiles a marking into plain
-integers.  The generic route enumerates reduced words outright on the
-multiplication of `_ops`, compiled once per comparison.  For abelian and
+An abelian or Dih(A) marking is compiled once into plain integers, its
+layout (`MarkedGroup._layout`): the modulus of each base coordinate,
+each entry's coordinates and each entry's eps bit, an abelian marking
+being the reflection-free case.  Two comparison routes read it.  The
+generic route enumerates reduced words outright on the multiplication
+of `_ops`, compiled once per comparison.  For abelian and
 generalized dihedral markings a word's value depends only on its net
 letter contributions, its profile, and the relation profiles form a
 lattice (the subgroups of Z^m are the marked abelian groups on m
@@ -45,7 +46,7 @@ from .abelian import (
     express_in_generators,
     generates_full,
     is_limit_of_cyclic,
-    primes,
+    primes_avoiding,
 )
 from .dihedral import (
     GenDihedralElement,
@@ -112,11 +113,7 @@ class MarkedGroup:
             return out
         if isinstance(g, GenDihedralGroup):
             return evaluate_word(g, S, word)
-        v = 0
-        for ell in word.letters:
-            x = S[ell - 1] if ell > 0 else g.inv(S[-ell - 1])
-            v = g.rows[v][x]
-        return v
+        return g.evaluate(word.letters, S)
 
     def is_relation(self, word: Word) -> bool:
         value = self.evaluate(word)
@@ -132,12 +129,27 @@ class MarkedGroup:
         return f"{self.group}:{gens}"
 
     @cached_property
+    def _layout(self):
+        """(moduli, coordinates of each entry, eps pattern) of an abelian or
+        Dih(A) marking, with eps 0 throughout for an abelian group and the
+        modulus None on a free coordinate; None for a table marking."""
+        view = _parts(self)
+        if view is None:
+            return None
+        base, parts = view
+        moduli = (None,) * base.free_rank + base.invariant_factors
+        return moduli, tuple(v.coordinates() for v, _ in parts), tuple(e for _, e in parts)
+
+    @cached_property
     def _profile(self):
         """(columns, relation lattice) of an abelian or Dih(A) marking,
-        compiled on first use: both depend on the marking alone."""
-        columns = _columns(self)
-        n_rot = self.arity - sum(_profile_pattern(self))
-        return columns, _relation_lattice(columns, self.arity, n_rot)
+        compiled on first use: both depend on the marking alone.  A column
+        holds one base coordinate's values at the profile positions (the
+        rotation entries, then the reflection entries) and its modulus."""
+        moduli, coords, pattern = self._layout
+        coords = [v for _, v in sorted(zip(pattern, coords), key=itemgetter(0))]
+        columns = [(tuple(v[k] for v in coords), m) for k, m in enumerate(moduli)]
+        return columns, _relation_lattice(columns, self.arity, pattern.count(0))
 
 
 @dataclass(frozen=True)
@@ -194,9 +206,9 @@ def _ops(marked: MarkedGroup):
     """(identity, mul, letter -> value) on flat integers, as walk_ball takes it.
 
     A table marking multiplies element indices through its Cayley rows.
-    An abelian marking multiplies coordinate tuples, a Dih(A) marking
-    (coordinates, eps) pairs; the modulus of a free coordinate is None,
-    and it is never reduced.
+    An abelian or Dih(A) marking multiplies (coordinates, eps) pairs, eps
+    0 throughout for an abelian group; the modulus of a free coordinate
+    is None, and it is never reduced.
     """
     g, S = marked.group, marked.generators
     if isinstance(g, FiniteGroupTable):
@@ -204,15 +216,7 @@ def _ops(marked: MarkedGroup):
         letters = {i: s for i, s in enumerate(S, start=1)}
         letters.update({-i: g.inv(s) for i, s in enumerate(S, start=1)})
         return 0, (lambda a, b: rows[a][b]), letters
-    base, parts = _parts(marked)
-    dihedral = isinstance(g, GenDihedralGroup)
-    moduli = (None,) * base.free_rank + base.invariant_factors
-
-    def mul(a, b):
-        return tuple(
-            (x + y) if m is None else (x + y) % m
-            for x, y, m in zip(a, b, moduli)
-        )
+    moduli, coords, _ = marked._layout
 
     def dmul(a, b):
         (va, ea), (vb, eb) = a, b
@@ -226,25 +230,10 @@ def _ops(marked: MarkedGroup):
             ea ^ eb,
         )
 
-    identity = (0,) * len(moduli)
     values = {}
-    for i, (v, e) in enumerate(parts, start=1):
-        v = v.coordinates()
-        inv = v if e else tuple(-x if m is None else -x % m for x, m in zip(v, moduli))
-        values[i], values[-i] = ((v, e), (inv, e)) if dihedral else (v, inv)
-    if dihedral:
-        return (identity, 0), dmul, values
-    return identity, mul, values
-
-
-def _columns(marked: MarkedGroup):
-    """Per base coordinate of an abelian or Dih(A) marking: its values at
-    the profile positions (the rotation entries, then the reflection
-    entries), and its modulus."""
-    base, parts = _parts(marked)
-    moduli = (None,) * base.free_rank + base.invariant_factors
-    coords = [v.coordinates() for v, _ in sorted(parts, key=itemgetter(1))]
-    return [(tuple(v[k] for v in coords), m) for k, m in enumerate(moduli)]
+    for i, ((v, e), x) in enumerate(zip(_parts(marked)[1], coords), start=1):
+        values[i], values[-i] = (x, e), ((v if e else -v).coordinates(), e)
+    return ((0,) * len(moduli), 0), dmul, values
 
 
 def relation_ball(marked: MarkedGroup, radius: int) -> RelationBall:
@@ -320,8 +309,8 @@ def _compare_enumerate(a: MarkedGroup, b: MarkedGroup, r_max: int):
 
 def _profile_pattern(marked: MarkedGroup):
     """The eps bit of each entry (0 for an abelian group); None for a table."""
-    view = _parts(marked)
-    return None if view is None else tuple(e for _, e in view[1])
+    layout = marked._layout
+    return None if layout is None else layout[2]
 
 
 def _relation_lattice(columns, arity: int, n_rot: int):
@@ -429,7 +418,7 @@ def _compare_profiles(a: MarkedGroup, b: MarkedGroup, r_max: int):
         radius *= 2
     if not misses:
         return r_max, None
-    n_rot = a.arity - sum(_profile_pattern(a))
+    n_rot = _profile_pattern(a).count(0)
 
     def order(p):
         x, d = p[:n_rot], p[n_rot:]
@@ -780,14 +769,7 @@ def accumulation_witness(marked: MarkedGroup, count: int) -> AccumulationWitness
     base, parts = view
     if base.free_rank == 0:
         raise FamilyError("rank 0: the marked group is isolated in its family")
-    torsion = base.torsion_order()
-    chosen = []
-    for p in primes():
-        if p == 2 or torsion % p == 0:
-            continue
-        chosen.append(p)
-        if len(chosen) == count:
-            break
+    chosen = primes_avoiding(2 * base.torsion_order(), count)
 
     members = []
     for p in chosen:
@@ -804,14 +786,9 @@ def accumulation_witness(marked: MarkedGroup, count: int) -> AccumulationWitness
     coeffs = express_in_generators(base, [b for _, b in blocks], target_elem)
     if coeffs is None:
         raise AssertionError("internal error: marking does not express the base")
-    letters: list[int] = []
+    unit_word = Word((), marked.arity)
     for (block, _), c in zip(blocks, coeffs):
-        if c >= 0:
-            letters.extend(block * c)
-        else:
-            inverse_block = tuple(-l for l in reversed(block))
-            letters.extend(inverse_block * (-c))
-    unit_word = free_reduce(letters, marked.arity)
+        unit_word = unit_word * Word(block, marked.arity) ** c
 
     separators = {}
     for i in range(len(members)):

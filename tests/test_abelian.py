@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgs.abelian import (
@@ -17,6 +17,7 @@ from mgs.abelian import (
     generates_full,
     is_limit_of_cyclic,
     matmul,
+    primes_avoiding,
     smith_normal_form,
     _hermite,
     _unimodular,
@@ -322,6 +323,24 @@ def test_cyclic_residual_quotient_preconditions():
     z = AbelianGroup(1)
     with pytest.raises(ValueError):
         cyclic_residual_quotient(z, [z.identity()])
+
+
+# n <= 10^6 has at most 7 prime divisors, so k <= 8 primes avoiding it are
+# among the first 15 primes, those below 50
+SMALL_PRIMES = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
+
+
+@given(st.integers(1, 10**6), st.integers(0, 8))
+@example(510510, 8)  # 2*3*5*7*11*13*17
+@example(1, 8)
+@settings(max_examples=200, deadline=None)
+def test_primes_avoiding_filters_the_primes(n, k):
+    assert primes_avoiding(n, k) == tuple([p for p in SMALL_PRIMES if n % p][:k])
+
+
+def test_primes_avoiding_needs_a_positive_integer():
+    with pytest.raises(ValueError):
+        primes_avoiding(0, 1)
 
 
 def test_cyclic_residual_quotient_random():

@@ -32,6 +32,22 @@ def test_dist(capsys):
     assert payload["distance"] == 0.125
 
 
+@pytest.mark.parametrize(
+    "order, distance",
+    [(1074, 5e-324), (1075, "2^-1075"), (2000, "2^-2000")],
+)
+def test_dist_prints_a_distance_too_small_for_a_float_exactly(capsys, order, distance):
+    # Z/n against Z agrees up to radius n - 1; 2.0 ** -1075 rounds to 0.0
+    code, out, _ = run(capsys, "dist", f"Z/{order}:(1)", "Z:(1)", "--rmax", "3000")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["agreement_radius"], payload["exact"]) == (order - 1, True)
+    assert payload["distance"] == distance
+    assert payload["separating_word"] == f"g1^{order}"
+    if order == 1074:
+        assert '"distance": 5e-324,' in out
+
+
 def test_dist_methods(capsys):
     for method in ("enumerate", "auto"):
         code, out, _ = run(
@@ -167,6 +183,29 @@ def test_classify_free_by_flip_checks_an_explicit_arity(capsys):
     assert code == 1
     assert out == ""
     assert "not 0" in json.loads(err)["error"]
+
+
+D2_PAIRS = [["rot(0)", "ref(0)"], ["ref(0)", "rot(0)"], ["ref(0)", "ref(0)"]]
+
+
+@pytest.mark.parametrize(
+    "argv, arity, representatives",
+    [
+        (["D2"], 2, D2_PAIRS),
+        (["D2", "--arity", "1"], 1, [["ref(0)"]]),
+        (["D2", "--arity", "2"], 2, D2_PAIRS),
+        (["Dinf"], 2, [["ref(0)", "rot(1)"], ["rot(1)", "ref(0)"], ["ref(0)", "ref(1)"]]),
+    ],
+)
+def test_classify_takes_the_table_route_for_a_finite_dihedral_base(
+    capsys, argv, arity, representatives
+):
+    # D2 is Dih(Z/1): free rank 0, so it has no canonical free-by-flip classes
+    code, out, err = run(capsys, "classify", *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["arity"], payload["count"]) == (arity, len(representatives))
+    assert [c["representative"] for c in payload["classes"]] == representatives
 
 
 def test_converge_rejects_an_empty_range(capsys):

@@ -196,8 +196,10 @@ def test_running_length_over_the_word_cap_is_a_parse_error(monkeypatch):
         (parse_word, "g1*G2", (1, 4)),
         (parse_word, "g0", (1, 1)),
         (parse_sentence, "forall x y :\n  x*y = y*x &\n  x*q = 1", (3, 5)),
+        (parse_sentence, "forall x :\n  x = 1 $", (2, 9)),
+        (parse_group, "Z x\r\nZ/", (2, 3)),
     ],
-    ids=["variable", "generator", "zero-index", "third-line"],
+    ids=["variable", "generator", "zero-index", "third-line", "character-line-2", "crlf"],
 )
 def test_unknown_names_are_reported_at_the_name(parse, text, position):
     with pytest.raises(ParseError) as exc:

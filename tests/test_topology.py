@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mgs import topology
 from mgs.abelian import AbelianGroup, canonical_invariant_factors
 from mgs.closure_map import emit_closure_map
-from mgs.dihedral import GenDihedralGroup
+from mgs.dihedral import MATERIALIZE_BOUND, GenDihedralGroup, materialize_table
 from mgs.dsl import parse_marked
 from mgs.tables import load_fixture
 from mgs.topology import (
@@ -642,6 +642,22 @@ def dihedral_pairs(draw, max_modulus=None):
     )
 
 
+@given(st.one_of(abelian_pairs(), dihedral_pairs()), st.data())
+@settings(max_examples=100, deadline=None)
+def test_table_evaluation_matches_the_rich_elements(pair, data):
+    for marked in pair:
+        if not marked.group.is_finite() or marked.group.order() > MATERIALIZE_BOUND:
+            continue
+        table = materialize_table(marked.group)
+        index = {label: i for i, label in enumerate(table.labels)}
+        values = [index[str(s)] for s in marked.generators]
+        letter = st.integers(1, marked.arity).flatmap(lambda i: st.sampled_from((i, -i)))
+        for raw in data.draw(st.lists(st.lists(letter, max_size=12), max_size=5)):
+            word = free_reduce(raw, marked.arity)
+            value = table.evaluate(word.letters, values)
+            assert table.labels[value] == str(marked.evaluate(word))
+
+
 def oracle_profiles(a, b, r_max):
     """The profile order of the route, each profile decided by evaluating
     its word with the rich elements of MarkedGroup.is_relation."""
@@ -752,7 +768,7 @@ def test_reused_markings_compare_as_fresh_ones(pair, r_max):
     keys = [(m, hash(m)) for m in (a, b)]
     for m in (a, b):
         n_rot = m.arity - sum(topology._profile_pattern(m))
-        columns = topology._columns(m)
+        columns = fresh(m)._profile[0]
         assert m._profile == (columns, topology._relation_lattice(columns, m.arity, n_rot))
     # each object is compared more than once, both ways and at two radii
     for radius in (r_max, r_max + 3):
