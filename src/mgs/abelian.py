@@ -135,32 +135,25 @@ def smith_normal_form(
     cols = len(a[0]) if rows else 0
     if any(len(row) != cols for row in a):
         raise ValueError("ragged matrix")
-    u = _identity_matrix(rows)
-    v = _identity_matrix(cols)
+    # one matrix [[mat, I], [I, 0]]: row operations on its first `rows`
+    # rows build U beside D, column operations on its first `cols`
+    # columns build V below it
+    a = [row + e for row, e in zip(a, _identity_matrix(rows))]
+    a += [e + [0] * rows for e in _identity_matrix(cols)]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def col_swap(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
 
     def row_addmul(dst, src, q):
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def col_addmul(dst, src, q):
         for r in a:
             r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     def min_nonzero(t):
         best = None
@@ -181,7 +174,7 @@ def smith_normal_form(
             if j0 != t:
                 col_swap(t, j0)
             if a[t][t] < 0:
-                row_negate(t)
+                a[t] = [-x for x in a[t]]
             p = a[t][t]
             for i in range(t + 1, rows):
                 q = a[i][t] // p
@@ -216,9 +209,12 @@ def smith_normal_form(
                 break
             row_addmul(t, bad, 1)
             piv = (t, t)
-    if not _snf_valid(mat, u, a, v):
+    u = [row[cols:] for row in a[:rows]]
+    d = [row[:cols] for row in a[:rows]]
+    v = [row[:cols] for row in a[rows:]]
+    if not _snf_valid(mat, u, d, v):
         raise AssertionError("internal error: invalid decomposition")
-    return u, a, v
+    return u, d, v
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ literals are resolved against their group as they are read.
 
 The parser is hand-written recursive descent; errors carry the line,
 column and the production being read.  Every parser round-trips with
-the canonical printers in this module.
+its canonical printer: print_sentence here for sentences, and the
+__str__ methods of groups, elements, markings and words for the rest.
 """
 
 from __future__ import annotations

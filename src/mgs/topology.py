@@ -262,6 +262,8 @@ def relation_ball(marked: MarkedGroup, radius: int) -> RelationBall:
         by_inverse.append(index)
     relations = [Word((), m)]
     for length in range(1, radius + 1):
+        if (length + 1) // 2 == len(layers):
+            break  # the walk ended on an empty layer (arity 0): no longer words
         index = by_inverse[length // 2]
         for u, x, _ in layers[(length + 1) // 2]:
             for v in index.get(x, ()):
@@ -719,26 +721,16 @@ def _quotient_by_prime(base: AbelianGroup, p: int):
     """Kill p times the last free generator; returns (group, element map)."""
     if base.free_rank == 0:
         raise ValueError("no infinite cyclic factor to collapse")
+    # glue Z/d x Z/p into Z/dp by CRT, d the last torsion factor (1 if none)
     factors = base.invariant_factors
-    if factors:
-        d = factors[-1]
-        new_factors = factors[:-1] + (d * p,)
-    else:
-        d = 1
-        new_factors = (p,)
-    target = AbelianGroup(base.free_rank - 1, new_factors)
+    d = factors[-1] if factors else 1
+    target = AbelianGroup(base.free_rank - 1, factors[:-1] + (d * p,))
+    inv = pow(d, -1, p)
 
     def convert(x: AbelianElement) -> AbelianElement:
-        extra = x.free[-1] % p
-        if factors:
-            # glue the old last torsion coordinate with the new mod-p one
-            a = x.torsion[-1]
-            inv = pow(d, -1, p)
-            glued = a + d * (((extra - a) * inv) % p)
-            torsion = x.torsion[:-1] + (glued,)
-        else:
-            torsion = (extra,)
-        return target.element(x.free[:-1], torsion)
+        a = x.torsion[-1] if factors else 0
+        glued = a + d * (((x.free[-1] - a) * inv) % p)
+        return target.element(x.free[:-1], x.torsion[:-1] + (glued,))
 
     return target, convert
 

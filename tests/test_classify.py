@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from itertools import product
 
 import pytest
@@ -108,10 +109,22 @@ def test_enumerate_markings_searches_automorphisms_only_once_a_tuple_generates(m
 
 
 def test_enumerate_markings_checks_the_automorphism_bound_up_front():
+    # no order bound: Dih(Z/51), of order 102, has one class per
+    # reflection pattern, each an orbit of |Hol(Z/51)| = 51 * phi(51)
     table = materialize_table(GenDihedralGroup(AbelianGroup(0, (51,))))
-    message = "order 102 exceeds the automorphism search bound 100"
+    classes = enumerate_markings(table, 2)
+    assert [sorted(c.involutions) for c in classes] == [[2], [1], [1, 2]]
+    assert [c.orbit_size for c in classes] == [51 * 32] * 3
+    # the candidate budget refuses before any candidate is tried
+    table = materialize_table(AbelianGroup(0, (2, 8, 8)))
+    message = (
+        "884736 candidates times order 128 = 113246208 exceed "
+        "the automorphism search budget 100000000"
+    )
+    start = time.monotonic()
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        enumerate_markings(table, 1)
+        enumerate_markings(table, 3)
+    assert time.monotonic() - start < 2
 
 
 def test_enumerate_markings_budget():
@@ -324,6 +337,12 @@ def test_canonical_classes_listing():
     classes = canonical_classes(2)
     assert len(classes) == 3
     assert [sorted(c.involutions) for c in classes] == [[1], [2], [1, 2]]
+    for m in range(2, 8):
+        patterns = [sorted(c.involutions) for c in canonical_classes(m)]
+        assert patterns == sorted(patterns, key=lambda p: (len(p), p))
+        assert len(patterns) == count_marking_classes(m)
+        for c in canonical_classes(m):
+            assert reflection_index_set(c.representative) == c.involutions
 
 
 def test_equivalent_tuples_have_equal_balls():

@@ -208,6 +208,23 @@ def test_classify_takes_the_table_route_for_a_finite_dihedral_base(
     assert [c["representative"] for c in payload["classes"]] == representatives
 
 
+@pytest.mark.parametrize(
+    "target, arity, patterns, orbit",
+    [
+        ("Z/101", "1", [[]], 100),
+        ("Dih(Z/60)", "2", [[2], [1], [1, 2]], 960),  # |Hol(Z/60)| = 60 * 16
+        ("Dih(Z/8 x Z/8)", "2", [], None),  # no generating pair
+    ],
+)
+def test_classify_tables_above_order_100(capsys, target, arity, patterns, orbit):
+    code, out, err = run(capsys, "classify", target, "--arity", arity)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["count"] == len(patterns)
+    assert [c["I"] for c in payload["classes"]] == patterns
+    assert all(c["orbit_size"] == orbit for c in payload["classes"])
+
+
 def test_converge_rejects_an_empty_range(capsys):
     code, out, err = run(
         capsys,
@@ -299,6 +316,31 @@ def test_malformed_json_tables_are_one_json_error(tmp_path, capsys, text, messag
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and json.loads(err) == {"error": message}
+
+
+BAD_LABELS = '"labels" of a JSON table must be a list of strings'
+
+
+@pytest.mark.parametrize(
+    "labels",
+    ['"ab"', '{"x": 1, "y": 2}', "[1, null]", "5"],
+    ids=["string", "object", "non-strings", "number"],
+)
+def test_json_table_labels_must_be_a_list_of_strings(tmp_path, capsys, labels):
+    path = tmp_path / "table.json"
+    path.write_text('{"table": [[0, 1], [1, 0]], "labels": %s}' % labels)
+    for argv in (["recognize", str(path)], ["classify", str(path), "--arity", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and json.loads(err) == {"error": BAD_LABELS}
+
+
+def test_json_table_labels_name_the_representatives(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text('{"table": [[0, 1], [1, 0]], "labels": ["e", "s"]}')
+    code, out, err = run(capsys, "classify", str(path), "--arity", "1")
+    assert (code, err) == (0, "")
+    assert [c["representative"] for c in json.loads(out)["classes"]] == [["s"]]
 
 
 def test_unknown_names_keep_the_parse_error(capsys):

@@ -142,6 +142,12 @@ def test_relation_ball_d12_r4():
     assert b4 not in ball
 
 
+def test_relation_ball_of_arity_zero():
+    m = MarkedGroup(AbelianGroup(0, ()), ())
+    for radius in range(6):
+        assert [str(w) for w in relation_ball(m, radius).relations] == ["1"]
+
+
 def test_relation_ball_nested():
     m = dihedral_marked(4)
     big = relation_ball(m, 5)
