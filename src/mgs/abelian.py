@@ -234,22 +234,11 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def primes_avoiding(n: int, k: int) -> tuple[int, ...]:
     """The k least primes that do not divide n, a positive integer."""
     if n < 1:
         raise ValueError("every prime divides 0")
-    return tuple(islice((p for p in count(2) if n % p and _is_prime(p)), k))
+    return tuple(islice((p for p in count(2) if n % p and _factorize(p) == {p: 1}), k))
 
 
 @dataclass(frozen=True)

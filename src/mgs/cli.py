@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Verdicts print as JSON on stdout and exit 0 even when the verdict is
-negative; operational failures (bad syntax, caps, preconditions) print
-an error object on stderr and exit nonzero (2 for syntax, 1 otherwise).
+Each command returns its payload, a dict (or, for the closure map, its
+text), and `main` prints it.  Verdicts print as JSON on stdout and exit
+0 even when the verdict is negative; operational failures (bad syntax,
+caps, preconditions) print an error object on stderr and exit nonzero
+(2 for syntax, 1 otherwise).
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ from .abelian import AbelianGroup, cyclic_residual_quotient
 from .closure_map import emit_closure_map
 from .dihedral import GenDihedralGroup, materialize_table
 from .words import DEFAULT_BALL_CAP, active_ball_cap
-
-
-def _print(payload) -> None:
-    print(json.dumps(payload, indent=2))
 
 
 def _structure(arg: str):
@@ -58,35 +56,31 @@ def _range(text: str) -> range:
     return range(a, b + 1)
 
 
-def cmd_ball(args) -> int:
+def cmd_ball(args) -> dict:
     marked = dsl.parse_marked(args.marked)
     ball = topology.relation_ball(marked, args.radius)
     payload = ball.to_json()
     payload["marking"] = str(marked)
-    _print(payload)
-    return 0
+    return payload
 
 
-def cmd_dist(args) -> int:
+def cmd_dist(args) -> dict:
     a = dsl.parse_marked(args.a)
     b = dsl.parse_marked(args.b)
     radius, witness = topology._compare(a, b, args.rmax, args.method)
-    _print(
-        {
-            "a": str(a),
-            "b": str(b),
-            "r_max": args.rmax,
-            "agreement_radius": radius,
-            "exact": witness is not None,
-            # past radius 1073 the float rounds to 0.0, so the exact value is text
-            "distance": 0.0 if witness is None else 2.0 ** -(radius + 1) or f"2^-{radius + 1}",
-            "separating_word": None if witness is None else str(witness),
-        }
-    )
-    return 0
+    return {
+        "a": str(a),
+        "b": str(b),
+        "r_max": args.rmax,
+        "agreement_radius": radius,
+        "exact": witness is not None,
+        # past radius 1073 the float rounds to 0.0, so the exact value is text
+        "distance": 0.0 if witness is None else 2.0 ** -(radius + 1) or f"2^-{radius + 1}",
+        "separating_word": None if witness is None else str(witness),
+    }
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args) -> dict:
     indices = _range(args.range)
     limit = dsl.parse_marked(args.limit)
 
@@ -99,11 +93,10 @@ def cmd_converge(args) -> int:
     payload = report.to_json()
     payload["family"] = args.family
     payload["limit"] = str(limit)
-    _print(payload)
-    return 0
+    return payload
 
 
-def cmd_limit_check(args) -> int:
+def cmd_limit_check(args) -> dict:
     group = dsl.parse_group(args.group)
     payload = {"group": str(group)}
     if isinstance(group, AbelianGroup):
@@ -114,11 +107,10 @@ def cmd_limit_check(args) -> int:
         payload["rank"] = (
             topology.rank_of_limit(group) if decision.value else None
         )
-    _print(payload)
-    return 0
+    return payload
 
 
-def cmd_residual(args) -> int:
+def cmd_residual(args) -> dict:
     group = dsl.parse_group(args.group)
     elements = dsl.parse_elements(args.kill, group)
     payload = {"group": str(group)}
@@ -136,29 +128,25 @@ def cmd_residual(args) -> int:
         torsion_multipliers=list(quotient.torsion_multipliers),
         images={str(x): image(x) for x in elements},
     )
-    _print(payload)
-    return 0
+    return payload
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> dict:
     sentence = dsl.parse_sentence(args.sentence)
     table = _table(_structure(args.structure)[1])
     result = logic.holds_in(table, sentence, budget=args.budget)
-    _print(
-        {
-            "sentence": dsl.print_sentence(sentence),
-            "structure": args.structure,
-            "order": table.order,
-            "holds": result.holds,
-            "counterexample": None
-            if result.counterexample is None
-            else [table.labels[i] for i in result.counterexample],
-        }
-    )
-    return 0
+    return {
+        "sentence": dsl.print_sentence(sentence),
+        "structure": args.structure,
+        "order": table.order,
+        "holds": result.holds,
+        "counterexample": None
+        if result.counterexample is None
+        else [table.labels[i] for i in result.counterexample],
+    }
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     structure, group = _structure(args.target)
     arity = args.arity
     # Dih(Z^r) with r >= 1 has canonical classes; a finite base takes the table route
@@ -170,18 +158,15 @@ def cmd_classify(args) -> int:
     else:
         arity = 2 if arity is None else arity
         classes = classify_mod.enumerate_markings(_table(group), arity)
-    _print(
-        {
-            "structure": structure,
-            "arity": arity,
-            "count": len(classes),
-            "classes": [c.to_json() for c in classes],
-        }
-    )
-    return 0
+    return {
+        "structure": structure,
+        "arity": arity,
+        "count": len(classes),
+        "classes": [c.to_json() for c in classes],
+    }
 
 
-def cmd_cb_rank(args) -> int:
+def cmd_cb_rank(args) -> dict:
     group = dsl.parse_group(args.group)
     family = {
         "dihedral": "dihedral-closure",
@@ -189,32 +174,25 @@ def cmd_cb_rank(args) -> int:
         "abelian": "all-marked",
     }[args.family]
     rank = topology.cb_rank(group, family)
-    _print({"group": str(group), "family": args.family, "rank": rank})
-    return 0
+    return {"group": str(group), "family": args.family, "rank": rank}
 
 
-def cmd_closure_map(args) -> int:
+def cmd_closure_map(args) -> str:
     json_text, dot_text = emit_closure_map(_range(args.range), r_max=args.rmax)
-    sys.stdout.write(dot_text if args.dot else json_text)
-    return 0
+    return dot_text if args.dot else json_text
 
 
-def cmd_recognize(args) -> int:
+def cmd_recognize(args) -> dict:
     table = _table(_structure(args.target)[1])
     outcome = tables.recognize_generalized_dihedral(table)
-    _print(
-        {
-            "structure": args.target,
-            "kind": outcome.kind,
-            "base": None if outcome.base is None else str(outcome.base),
-            "rotation_part": None
-            if outcome.rotation_part is None
-            else list(outcome.rotation_part),
-            "flip_coset": None if outcome.flip_coset is None else list(outcome.flip_coset),
-            "reason": outcome.reason,
-        }
-    )
-    return 0
+    return {
+        "structure": args.target,
+        "kind": outcome.kind,
+        "base": None if outcome.base is None else str(outcome.base),
+        "rotation_part": outcome.rotation_part,
+        "flip_coset": outcome.flip_coset,
+        "reason": outcome.reason,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +270,9 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         active_ball_cap()  # a malformed MGS_BALL_CAP fails every command alike
-        return args.func(args)
+        out = args.func(args)
+        sys.stdout.write(out if isinstance(out, str) else json.dumps(out, indent=2) + "\n")
+        return 0
     except (ValueError, TypeError, OSError) as exc:  # ParseError is a ValueError
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -230,12 +230,22 @@ def dumps_text(table: FiniteGroupTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _integer(token: str):
+    """The integer a token writes, else the token, for validation to name."""
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
 def loads_text(text: str) -> FiniteGroupTable:
+    """A line holding the order n alone, then exactly n rows of indices."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise TableError("empty table file")
-    n = int(lines[0])
-    raw = [[int(x) for x in ln.split()] for ln in lines[1 : n + 1]]
+    (n, *rest), *raw = [[_integer(x) for x in ln.split()] for ln in lines]
+    if rest or type(n) is not int:
+        raise TableError(f"the first line is the order, one integer, not {lines[0].strip()!r}")
     if len(raw) != n:
         raise TableError(f"expected {n} rows, found {len(raw)}")
     return validate_table(raw)
@@ -342,38 +352,22 @@ def automorphism_group(table: FiniteGroupTable) -> list[tuple[int, ...]]:
 def abelian_invariant_factors_of(
     table: FiniteGroupTable, members: Iterable[int]
 ) -> tuple[int, ...]:
-    members = sorted(set(members))
-    orders = [table.element_order(x) for x in members]
+    orders = [table.element_order(x) for x in set(members)]
     exponent = math.lcm(*orders)
     if exponent == 1:
         return ()
     partitions: dict[int, list[int]] = {}
-    for p in _factorize(exponent):
-        logs = [0]
-        j = 1
-        while True:
-            pj = p**j
-            cnt = sum(1 for x in members if table.power(x, pj) == 0)
-            s, c = 0, cnt
+    for p, e in _factorize(exponent).items():
+        logs = [0]  # by j, log_p of how many x^(p^j) = 1: those whose order divides p^j
+        for j in range(1, e + 1):
+            c, s = sum(1 for o in orders if p**j % o == 0), 0
             while c > 1 and c % p == 0:
-                c //= p
-                s += 1
+                c, s = c // p, s + 1
             if c != 1:
                 raise ValueError("subgroup is not abelian")
             logs.append(s)
-            if s == logs[j - 1]:
-                break
-            j += 1
-        conj = [logs[i] - logs[i - 1] for i in range(1, len(logs))]
-        parts = []
-        i = 1
-        while True:
-            width = sum(1 for c in conj if c >= i)
-            if width == 0:
-                break
-            parts.append(width)
-            i += 1
-        partitions[p] = parts
+        conj = [b - a for a, b in zip(logs, logs[1:])]
+        partitions[p] = [sum(c >= i for c in conj) for i in range(1, max(conj) + 1)]
     return _invariant_factors(partitions)
 
 

@@ -216,7 +216,7 @@ def _ops(marked: MarkedGroup):
         letters = {i: s for i, s in enumerate(S, start=1)}
         letters.update({-i: g.inv(s) for i, s in enumerate(S, start=1)})
         return 0, (lambda a, b: rows[a][b]), letters
-    moduli, coords, _ = marked._layout
+    moduli, coords, pattern = marked._layout
 
     def dmul(a, b):
         (va, ea), (vb, eb) = a, b
@@ -231,8 +231,10 @@ def _ops(marked: MarkedGroup):
         )
 
     values = {}
-    for i, ((v, e), x) in enumerate(zip(_parts(marked)[1], coords), start=1):
-        values[i], values[-i] = (x, e), ((v if e else -v).coordinates(), e)
+    for i, (x, e) in enumerate(zip(coords, pattern), start=1):
+        # a reflection is its own inverse; a rotation negates, mod each modulus
+        inverse = x if e else tuple(-c if m is None else -c % m for c, m in zip(x, moduli))
+        values[i], values[-i] = (x, e), (inverse, e)
     return ((0,) * len(moduli), 0), dmul, values
 
 
@@ -309,12 +311,6 @@ def _compare_enumerate(a: MarkedGroup, b: MarkedGroup, r_max: int):
 # norm over the symmetric difference of the lattices, minus one.
 
 
-def _profile_pattern(marked: MarkedGroup):
-    """The eps bit of each entry (0 for an abelian group); None for a table."""
-    layout = marked._layout
-    return None if layout is None else layout[2]
-
-
 def _relation_lattice(columns, arity: int, n_rot: int):
     """The relation profiles of a compiled marking, as the rows of their
     reduced row-echelon (Hermite) basis with positive pivots, each with its
@@ -375,7 +371,7 @@ def _flat_relation(columns, p) -> bool:
 
 
 def _profile_word(marked: MarkedGroup, x: tuple[int, ...], d: tuple[int, ...]) -> Word:
-    pattern = _profile_pattern(marked)
+    pattern = marked._layout[2]
     rot_pos = [i + 1 for i, e in enumerate(pattern) if not e]
     ref_pos = [i + 1 for i, e in enumerate(pattern) if e]
     plus = []
@@ -420,7 +416,7 @@ def _compare_profiles(a: MarkedGroup, b: MarkedGroup, r_max: int):
         radius *= 2
     if not misses:
         return r_max, None
-    n_rot = _profile_pattern(a).count(0)
+    n_rot = a._layout[2].count(0)
 
     def order(p):
         x, d = p[:n_rot], p[n_rot:]
@@ -437,8 +433,8 @@ def _compare(a: MarkedGroup, b: MarkedGroup, r_max: int, method: str):
         raise ValueError("r_max must be nonnegative")
     if method not in ("auto", "enumerate"):
         raise ValueError(f"unknown comparison method {method!r}")
-    pattern = _profile_pattern(a) if method == "auto" else None
-    if pattern is not None and pattern == _profile_pattern(b):
+    la, lb = a._layout, b._layout
+    if method == "auto" and la is not None and lb is not None and la[2] == lb[2]:
         return _compare_profiles(a, b, r_max)
     return _compare_enumerate(a, b, r_max)
 

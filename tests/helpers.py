@@ -12,7 +12,7 @@ import math
 from itertools import permutations, product
 
 from mgs.abelian import canonical_invariant_factors, smith_normal_form
-from mgs.topology import _flat_relation, _profile_pattern, _profile_word
+from mgs.topology import _flat_relation, _profile_word
 
 
 def closure_of_elements(identity, elements):
@@ -179,7 +179,7 @@ def profile_loop(a, b, r_max):
     visiting every profile (x, d) with sum(d) = 0 in order of norm, then
     |d|_1, then descending d and x; the first mismatch is the witness."""
     cols_a, cols_b = a._profile[0], b._profile[0]
-    n_ref = sum(_profile_pattern(a))
+    n_ref = sum(a._layout[2])
     for norm in range(1, r_max + 1):
         for d_norm in range(norm + 1):
             for d in signed_vectors(n_ref, d_norm):

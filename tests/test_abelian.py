@@ -302,6 +302,15 @@ def test_express_in_generators():
     assert express_in_generators(z2, [z2.element((1, 1))], z2.element((1, 0))) is None
 
 
+def test_express_in_generators_on_the_trivial_group_and_out_of_reach():
+    z1 = AbelianGroup(0)
+    e = z1.identity()
+    assert express_in_generators(z1, [e, e], e) == [0, 0]
+    g = AbelianGroup(1, (4,))
+    gens = [g.element((2,), (0,)), g.element((0,), (1,))]
+    assert express_in_generators(g, gens, g.element((1,), (0,))) is None
+
+
 def test_is_limit_of_cyclic():
     assert is_limit_of_cyclic(AbelianGroup(1, (6,)))
     assert not is_limit_of_cyclic(AbelianGroup(0, (2, 4)))

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -318,6 +321,23 @@ def test_malformed_json_tables_are_one_json_error(tmp_path, capsys, text, messag
         assert err.count("\n") == 1 and json.loads(err) == {"error": message}
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2\n0 1\n1 0\n1 0\n", "expected 2 rows, found 3"),
+        ("x\n0 1\n1 0\n", "the first line is the order, one integer, not 'x'"),
+        ("2\n0 1\n1 a\n", "entry at (1,1) is 'a', not an integer"),
+    ],
+    ids=["extra-row", "order-not-an-integer", "entry-not-an-integer"],
+)
+def test_malformed_text_tables_are_one_json_error(tmp_path, capsys, text, message):
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "recognize", str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and json.loads(err) == {"error": message}
+
+
 BAD_LABELS = '"labels" of a JSON table must be a list of strings'
 
 
@@ -373,6 +393,44 @@ def test_readme_commands_answer(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)
         assert out
+
+
+PINNED_COMMANDS = [
+    ["recognize", "D12"],
+    ["recognize", "A4"],
+    ["residual", "Dih(Z x Z/6)", "--kill", "rot(1;0),ref(0;1)"],
+    ["dist", "Z/1075:(1)", "Z:(1)", "--rmax", "2000"],
+    ["classify", "Dinf"],
+    ["ball", "D13:a,b", "--radius", "2"],
+    ["ball", "D6:a,b", "--radius", "-1"],
+    ["converge", "--family", "Dih(Z/N):a,b", "--limit", "Dinf:a,b", "--range", "3..2"],
+]
+
+
+def test_cli_bytes_are_pinned(capsys):
+    # exit code, stdout and stderr of the README's commands and of a few
+    # verdicts and errors more: any change to these bytes must be deliberate
+    records = [(argv, *run(capsys, *argv)) for argv in list(readme_commands()) + PINNED_COMMANDS]
+    assert [code for _, code, _, _ in records[-3:]] == [2, 1, 1]
+    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "22de863e514cb230"
+
+
+def run_module(*argv):
+    """(exit code, stdout, stderr) of `python -m mgs.cli` in a fresh process."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + sys.path))
+    out = subprocess.run(
+        [sys.executable, "-m", "mgs.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_the_module_entry_point_prints_and_exits_as_main(capsys):
+    assert run_module("limit-check", "Dinf") == run(capsys, "limit-check", "Dinf")
+    for argv, exit_code in ((PINNED_COMMANDS[-3], 2), (PINNED_COMMANDS[-2], 1)):
+        code, out, err = run_module(*argv)
+        assert (code, out) == (exit_code, "")
+        assert "error" in json.loads(err)
 
 
 def test_parse_error_exit_code(capsys):

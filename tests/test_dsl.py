@@ -15,7 +15,7 @@ from mgs.dsl import (
     print_sentence,
 )
 from mgs.logic import And, Atom, Implies, Not, Or, UniversalSentence, builtin_sentence
-from mgs.topology import MarkedGroup
+from mgs.topology import MarkedGroup, relation_ball
 from mgs.words import Word, free_reduce
 
 
@@ -93,6 +93,12 @@ def test_parse_element_zero_shorthand():
     assert parse_element("ref(0)", g) == g.reflection([0, 0])
     d2 = parse_group("D2")
     assert parse_element("ref(0)", d2) == d2.reflection(d2.base.identity())
+
+
+def test_empty_literals_are_the_zero_element():
+    marked = parse_marked("D2:ref(),rot()")
+    assert str(marked) == "Dih(Z/1):ref(0),rot(0)"
+    assert relation_ball(marked, 2).to_json()["count"] == 7
 
 
 def test_parse_elements_list():

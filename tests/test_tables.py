@@ -160,6 +160,9 @@ def test_validation_messages_are_pinned(raw, labels, message):
     [
         (loads_text, "# only a comment\n", "empty table file"),
         (loads_text, "2\n0 1\n", "expected 2 rows, found 1"),
+        (loads_text, "2\n0 1\n1 0\n1 0\n", "expected 2 rows, found 3"),
+        (loads_text, "x\n0 1\n1 0\n", "the first line is the order, one integer, not 'x'"),
+        (loads_text, "2\n0 1\n1 a\n", "entry at (1,1) is 'a', not an integer"),
         (loads_json, '{"order": 3, "table": [[0, 1], [1, 0]]}', "declared order does not match the table"),
     ],
 )
@@ -394,6 +397,13 @@ def test_abelian_invariants_recovery():
     for group in abelian_groups_up_to(24):
         t = materialize_table(group)
         assert abelian_invariant_factors_of(t, range(t.order)) == group.invariant_factors
+
+
+def test_abelian_invariants_refuse_a_dihedral_table():
+    for name in ("D8", "D10"):
+        t = load_fixture(name)
+        with pytest.raises(ValueError, match="^subgroup is not abelian$"):
+            abelian_invariant_factors_of(t, range(t.order))
 
 
 def test_recognize_d12():

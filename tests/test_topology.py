@@ -773,7 +773,7 @@ def test_reused_markings_compare_as_fresh_ones(pair, r_max):
     a, b = pair
     keys = [(m, hash(m)) for m in (a, b)]
     for m in (a, b):
-        n_rot = m.arity - sum(topology._profile_pattern(m))
+        n_rot = m.arity - sum(m._layout[2])
         columns = fresh(m)._profile[0]
         assert m._profile == (columns, topology._relation_lattice(columns, m.arity, n_rot))
     # each object is compared more than once, both ways and at two radii

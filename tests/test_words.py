@@ -153,6 +153,14 @@ def test_nielsen_swap_and_invert():
     assert nielsen_apply(once, NielsenMove.invert(1)) == (b, a)
 
 
+def test_nielsen_moves_on_an_abelian_tuple_add():
+    g = AbelianGroup(1, (4,))
+    tup = (g.element((1,), (0,)), g.element((0,), (1,)))
+    moved = nielsen_apply(tup, NielsenMove.multiply(1, 2, "left", -1))
+    assert [str(x) for x in moved] == ["(1;3)", "(0;1)"]
+    assert [str(x) for x in nielsen_apply(tup, NielsenMove.invert(2))] == ["(1;0)", "(0;3)"]
+
+
 def test_nielsen_moves_invert():
     w1 = free_reduce([1, 2], 2)
     w2 = free_reduce([2, -1], 2)
