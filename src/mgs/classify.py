@@ -11,7 +11,8 @@ witness automorphisms are constructed and verified entrywise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress, product
+from operator import itemgetter
 from typing import Sequence
 
 from .abelian import AbelianGroup, _hermite, _identity_matrix, _unimodular, matmul, matvec
@@ -222,12 +223,71 @@ class MarkingClass:
         }
 
 
+class _Spans:
+    """Subgroups spanned by tuples of one table, memoized by subgroup.
+
+    <H, x> depends only on the coset Hx, as <H, hx> holds x for h in H,
+    so spans are computed once per coset, named by its least element.
+    """
+
+    def __init__(self, table: FiniteGroupTable):
+        self.table = table
+        self.columns = list(zip(*table.rows))  # x -> a*x for every a
+        self.leaders: dict[frozenset[int], list[int]] = {}  # H -> x -> least of Hx
+        self.spans: dict[tuple[frozenset[int], int], frozenset[int]] = {}  # (H, x) -> <H, x>
+        self.reach: dict[tuple[frozenset[int], int], bool] = {}  # (H, k) -> k entries reach G
+
+    def leader(self, sub: frozenset[int]) -> list[int]:
+        """x -> the least element of the coset sub*x."""
+        out = self.leaders.get(sub)
+        if out is None:
+            out = self.leaders[sub] = [-1] * self.table.order
+            for x, column in enumerate(self.columns):
+                if out[x] < 0:
+                    for h in sub:
+                        out[column[h]] = x
+        return out
+
+    def span(self, sub: frozenset[int], gens: tuple[int, ...], x: int) -> frozenset[int]:
+        """<sub, x>, for sub = <gens> and x the least of its coset."""
+        out = self.spans.get((sub, x))
+        if out is None:
+            out = self.spans[sub, x] = self.table.closure(gens + (x,))
+        return out
+
+    def reaches(self, sub: frozenset[int], gens: tuple[int, ...], left: int) -> bool:
+        """Whether `left` more entries can extend gens, which span sub,
+        to generators of the whole table."""
+        n = self.table.order
+        # each entry outside the span at least doubles it
+        if len(sub) << left >= n:
+            return True
+        ok = self.reach.get((sub, left))
+        if ok is None:
+            leader = self.leader(sub)
+            ok = self.reach[sub, left] = left > 0 and any(
+                self.reaches(self.span(sub, gens, y), gens + (y,), left - 1)
+                for y in range(1, n)
+                if leader[y] == y
+            )
+        return ok
+
+
 def enumerate_markings(table: FiniteGroupTable, arity: int) -> list[MarkingClass]:
     """Orbit representatives of generating tuples under all automorphisms.
 
     Representatives are the lexicographically least tuples of their
-    orbits, listed in lexicographic order; orbit sizes add up to the
-    number of generating tuples.
+    orbits, listed in lexicographic order.  Aut(G) acts freely on
+    generating tuples, since an automorphism fixing generators is the
+    identity, so every orbit has |Aut(G)| members.
+
+    A tuple is least in its orbit exactly when each entry t_i is least
+    in its orbit under the automorphisms fixing t_1..t_(i-1): a smaller
+    image of the tuple differs first at some t_i, under one of those.
+    So a depth-first search in ascending entries keeps, at each depth,
+    the stabilizer of the prefix, tries only the least element of each
+    of its orbits, and drops a prefix whose span cannot reach the whole
+    group with the entries that are left.
     """
     if arity < 1:
         raise ValueError(f"arity must be at least 1, got {arity}")
@@ -238,33 +298,45 @@ def enumerate_markings(table: FiniteGroupTable, arity: int) -> list[MarkingClass
         count *= n
         if count > ENUMERATION_BUDGET:
             raise ValueError(f"{n}^{arity} tuples exceed the enumeration budget")
-    # the scan reads every entry of every tuple
+    # the budget counts every entry of every tuple
     if count * arity > ENUMERATION_BUDGET:
         raise ValueError(f"{n}^{arity} tuples of {arity} entries exceed the enumeration budget")
     trivial = frozenset([0])
-    span: dict[tuple[frozenset[int], int], frozenset[int]] = {}  # (H, x) -> <H, x>
-    columns = None  # the image of each element under every automorphism
-    classes = []
-    seen: set[tuple[int, ...]] = set()
-    for tup in product(range(n), repeat=arity):
-        if tup in seen:
+    spans = _Spans(table)
+    if not spans.reaches(trivial, (), arity):
+        return []
+    autos = automorphism_group(table)
+    reps = []
+    stack = [((), trivial, autos)]  # (prefix, its span, its pointwise stabilizer)
+    while stack:
+        prefix, sub, stabilizer = stack.pop()
+        left = arity - len(prefix)
+        if len(sub) == n:
+            # only the identity fixes generators: every completion is least
+            reps.extend(prefix + rest for rest in product(range(n), repeat=left))
             continue
-        sub = trivial
-        for i, x in enumerate(tup):
-            nxt = span.get((sub, x))
-            if nxt is None:
-                nxt = span[sub, x] = table.closure(tup[: i + 1])
-            sub = nxt
-        if len(sub) != n:
-            continue
-        if columns is None:
-            columns = list(zip(*automorphism_group(table)))
-        orbit = set(zip(*[columns[x] for x in tup]))
-        seen.update(orbit)
-        involutions = frozenset(
-            i + 1 for i, x in enumerate(tup) if table.mul(x, x) == 0
+        leader = spans.leader(sub)
+        seen: set[int] = set()  # the orbits of smaller entries
+        children = []
+        for x in range(n):
+            if x in seen:
+                continue
+            images = list(map(itemgetter(x), stabilizer))
+            seen.update(images)
+            nxt = spans.span(sub, prefix, leader[x])
+            if spans.reaches(nxt, prefix + (x,), left - 1):
+                children.append(
+                    (prefix + (x,), nxt, list(compress(stabilizer, map(x.__eq__, images))))
+                )
+        stack.extend(reversed(children))
+    involution = [table.mul(x, x) == 0 for x in range(n)]
+    return [
+        MarkingClass(
+            table,
+            arity,
+            frozenset(i + 1 for i, x in enumerate(rep) if involution[x]),
+            rep,
+            len(autos),
         )
-        classes.append(
-            MarkingClass(table, arity, involutions, min(orbit), len(orbit))
-        )
-    return classes
+        for rep in reps
+    ]

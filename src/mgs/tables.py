@@ -16,7 +16,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -292,34 +291,98 @@ def _greedy_generating_sequence(table: FiniteGroupTable) -> list[int]:
     return gens
 
 
+def _subgroup_chain(table: FiniteGroupTable, gens: list[int]) -> tuple[list, itemgetter]:
+    """The chain H_k = <g_1..g_k> as one list of members.
+
+    H_1 lists the powers of g_1.  H_k lists H_(k-1), then each further
+    coset H_(k-1)*t as h*t over h in H_(k-1), in the order a
+    breadth-first search along g_1..g_k reaches it; the first is
+    H_(k-1)*g_k.  Stage k, for k = 2..m, holds that search as (j, i)
+    with t = t_j*g_i and t_0 = 1, and for each i <= k a getter of the
+    position of x*g_i over the members x of H_k outside H_(k-1).  Also
+    returned: a getter of each element's position in the whole list.
+    """
+    rows = table.rows
+    members = [0]
+    x = gens[0]
+    while x:
+        members.append(x)
+        x = rows[x][gens[0]]
+    stages = []
+    for k in range(2, len(gens) + 1):
+        sub = tuple(members)
+        seen = set(sub)
+        reps, tree = [0], []
+        for j, t in enumerate(reps):  # reps grows as cosets are reached
+            for i, g in enumerate(gens[:k]):
+                y = rows[t][g]
+                if y not in seen:
+                    coset = [rows[h][y] for h in sub]
+                    seen.update(coset)
+                    members += coset
+                    reps.append(y)
+                    tree.append((j, i))
+        position = {x: p for p, x in enumerate(members)}
+        new = members[len(sub):]
+        edges = [itemgetter(*[position[rows[x][g]] for x in new]) for g in gens[:k]]
+        stages.append((tree, edges))
+    position = [0] * table.order
+    for p, x in enumerate(members):
+        position[x] = p
+    return stages, itemgetter(*position)
+
+
+def _extend(phi, images, s, stages, pools, rows, columns, by_element, found) -> None:
+    """Try each image of g_k, k = s + 2, on phi, the values of an
+    injective homomorphism on H_(k-1) in the order of its members.
+
+    On the coset H_(k-1)*t, phi(h*t) = phi(h)*phi(t), with phi(t) read
+    off the search tree.  The extension is kept when it sends no new
+    member to 1 and respects every edge x -> x*g_i, i <= k, that leaves
+    a new member x.  The other edges of H_k were checked on H_(k-1), or
+    lead from H_(k-1) to H_(k-1)*g_k, where they hold by construction.
+    """
+    tree, edges = stages[s]
+    k = s + 1
+    times = itemgetter(*phi)  # columns[c] -> phi(h)*c over H_(k-1)
+    last = s + 1 == len(stages)
+    for img in pools[k]:
+        images[k] = img
+        at = [0]
+        for j, i in tree:
+            at.append(rows[at[j]][images[i]])
+        new = ()
+        for t in at[1:]:
+            new += times(columns[t])
+        if 0 in new:
+            continue
+        image_of = itemgetter(*new)  # columns[c] -> phi(x)*c over the new x
+        ext = phi + new
+        for edge, g in zip(edges, images):
+            if edge(ext) != image_of(columns[g]):
+                break
+        else:
+            if last:
+                found.append(by_element(ext))
+            else:
+                _extend(ext, images, s + 1, stages, pools, rows, columns, by_element, found)
+
+
 def automorphism_group(table: FiniteGroupTable) -> list[tuple[int, ...]]:
     """All automorphisms as permutation tuples, sorted.
 
-    Candidate images for a generating sequence are filtered by element
-    order and extended to the whole group along one breadth-first
-    spanning tree of the generators.  A candidate is kept when it
-    respects every generator edge, phi(x*g) == phi(x)*phi(g), which
-    makes it a homomorphism, and is bijective.
+    Candidate images for a generating sequence g_1..g_m are filtered by
+    element order and chosen one generator at a time.  The image of g_1
+    fixes phi on H_1 = <g_1>; once g_k has an image, phi is extended
+    to H_k = <g_1..g_k> coset by coset and kept only while it is
+    injective and respects every edge phi(x*g_i) == phi(x)*phi(g_i)
+    with x in H_k and i <= k.  An automorphism passes every stage, so a
+    failed stage prunes every later choice of images; the last stage,
+    on H_m = G, checks that the candidate is a bijective homomorphism.
     """
     n = table.order
     gens = _greedy_generating_sequence(table)
     rows = table.rows
-    tree = []  # (y, x, position of g) with y = x*g, parents before children
-    reached = [False] * n
-    reached[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = rows[x][g]
-                if not reached[y]:
-                    reached[y] = True
-                    tree.append((y, x, gi))
-                    nxt.append(y)
-        frontier = nxt
-    columns = list(zip(*rows))
-    times_gen = [itemgetter(*columns[g]) for g in gens]  # x -> x*g for every x
     orders = [table.element_order(i) for i in range(n)]
     pools = [
         [x for x in range(n) if orders[x] == orders[g]]
@@ -331,17 +394,24 @@ def automorphism_group(table: FiniteGroupTable) -> list[tuple[int, ...]]:
             f"{work // n} candidates times order {n} = {work} exceed "
             f"the automorphism search budget {AUTOMORPHISM_BUDGET}"
         )
-    found = []
-    for images in product(*pools):
-        phi = [0] * n
-        for y, x, gi in tree:
-            phi[y] = rows[phi[x]][images[gi]]
-        image_of = itemgetter(*phi)
-        if all(
-            times_g(phi) == image_of(columns[img])
-            for times_g, img in zip(times_gen, images)
-        ) and len(set(phi)) == n:
-            found.append(tuple(phi))
+    if not gens:
+        return [(0,)]
+    stages, by_element = _subgroup_chain(table, gens)
+    columns = list(zip(*rows))
+    images = [0] * len(gens)
+    found: list[tuple[int, ...]] = []
+    for img in pools[0]:
+        # g_1 and img have one order, so g_1^j -> img^j is injective on H_1
+        images[0] = img
+        powers = [0]
+        x = img
+        while x:
+            powers.append(x)
+            x = rows[x][img]
+        if stages:
+            _extend(tuple(powers), images, 0, stages, pools, rows, columns, by_element, found)
+        else:
+            found.append(by_element(powers))
     return sorted(found)
 
 
@@ -352,7 +422,20 @@ def automorphism_group(table: FiniteGroupTable) -> list[tuple[int, ...]]:
 def abelian_invariant_factors_of(
     table: FiniteGroupTable, members: Iterable[int]
 ) -> tuple[int, ...]:
-    orders = [table.element_order(x) for x in set(members)]
+    order_of = {x: table.element_order(x) for x in members}
+    # generators commuting pairwise span an abelian group; at most log2
+    # of its order are picked, as each one outside the span at least
+    # doubles it
+    rows = table.rows
+    gens: list[int] = []
+    span = frozenset([0])
+    for x in order_of:
+        if x not in span:
+            if any(rows[x][g] != rows[g][x] for g in gens):
+                raise ValueError("subgroup is not abelian")
+            gens.append(x)
+            span = table.closure(gens)
+    orders = list(order_of.values())
     exponent = math.lcm(*orders)
     if exponent == 1:
         return ()

@@ -2,17 +2,25 @@
 
 Everything here is deliberately independent of the library's fast
 paths: closures by breadth-first multiplication, isomorphism by
-permutation search, group enumeration by partitions, ball comparison
-by visiting every profile in norm order, determinants by Bareiss
-elimination, generation by the Smith diagonal and generalized dihedral
-structure by its definition.
+permutation search, automorphisms by trying every tuple of generator
+images, marking orbits by scanning every tuple, group enumeration by
+partitions, ball comparison by visiting every profile in norm order,
+determinants by Bareiss elimination, generation by the Smith diagonal
+and generalized dihedral structure by its definition.
 """
 
 import math
 from itertools import permutations, product
+from operator import itemgetter
 
 from mgs.abelian import canonical_invariant_factors, smith_normal_form
 from mgs.topology import _flat_relation, _profile_word
+
+
+FIXTURES = (
+    "A4", "D2", "D4", "D6", "D8", "D10", "D12", "D14", "D16", "D18", "D20", "D22", "D24",
+    "DihZ4xZ4", "Q8",
+)
 
 
 def closure_of_elements(identity, elements):
@@ -84,6 +92,82 @@ def automorphisms_by_permutations(table):
     return sorted(isomorphisms(table, table))
 
 
+def generator_pools(table):
+    """A generating sequence picked by descending element order, and for
+    each generator the elements of its order: the candidate images."""
+    n, rows = table.order, table.rows
+    orders = [table.element_order(i) for i in range(n)]
+    gens, reached = [], {0}
+    for x in sorted(range(1, n), key=lambda i: (-orders[i], i)):
+        if x not in reached:
+            gens.append(x)
+            reached = _index_closure(rows, gens)
+    return gens, [[x for x in range(n) if orders[x] == orders[g]] for g in gens]
+
+
+def product_search_work(table):
+    """The candidate image tuples automorphisms_by_product tries, times
+    the order: what its time grows with."""
+    return math.prod(map(len, generator_pools(table)[1])) * table.order
+
+
+def automorphisms_by_product(table):
+    """Every automorphism as an index tuple, sorted, by trying every tuple
+    of candidate images of generator_pools.
+
+    A candidate is extended to the whole group along one breadth-first
+    spanning tree and kept when it respects every generator edge,
+    phi(x*g) == phi(x)*phi(g), and is bijective.
+    """
+    n, rows = table.order, table.rows
+    gens, pools = generator_pools(table)
+    tree = []  # (y, x, position of g) with y = x*g, parents before children
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gi, g in enumerate(gens):
+                y = rows[x][g]
+                if y not in reached:
+                    reached.add(y)
+                    tree.append((y, x, gi))
+                    nxt.append(y)
+        frontier = nxt
+    columns = list(zip(*rows))
+    times_gen = [itemgetter(*columns[g]) for g in gens]  # x -> x*g for every x
+    found = []
+    for images in product(*pools):
+        phi = [0] * n
+        for y, x, gi in tree:
+            phi[y] = rows[phi[x]][images[gi]]
+        image_of = itemgetter(*phi)
+        if all(
+            times_g(phi) == image_of(columns[img])
+            for times_g, img in zip(times_gen, images)
+        ) and len(set(phi)) == n:
+            found.append(tuple(phi))
+    return sorted(found)
+
+
+def markings_by_scan(table, arity, autos):
+    """(representative, involution set, orbit size) for each orbit of
+    generating tuples under autos, by scanning all n^arity tuples in
+    lexicographic order: each generating tuple not yet seen opens an
+    orbit, whose least member is its representative."""
+    n, rows = table.order, table.rows
+    seen = set()
+    out = []
+    for tup in product(range(n), repeat=arity):
+        if tup in seen or len(_index_closure(rows, tup)) != n:
+            continue
+        orbit = {tuple(phi[x] for x in tup) for phi in autos}
+        seen |= orbit
+        rep = min(orbit)
+        out.append((rep, {i + 1 for i, x in enumerate(rep) if rows[x][x] == 0}, len(orbit)))
+    return out
+
+
 def relabel(table, rng):
     """An isomorphic copy under a seeded permutation that fixes index 0."""
     from mgs.tables import FiniteGroupTable
@@ -134,6 +218,43 @@ def abelian_groups_up_to(max_order):
                 orders.extend(p**e for e in parts)
             out.append(canonical_invariant_factors(orders))
     return out
+
+
+def groups_up_to(order):
+    """Tables of the abelian groups and the Dih(A) of at most this order."""
+    from mgs.dihedral import GenDihedralGroup, materialize_table
+
+    out = []
+    for base in abelian_groups_up_to(order):
+        for group in (base, GenDihedralGroup(base)):
+            if group.order() <= order:
+                out.append(materialize_table(group))
+    return out
+
+
+def product_tables():
+    """Direct products of small fixtures and semidirect products
+    Z/n x|_k Z/m: groups that are neither abelian nor Dih(A), but for
+    Z/9 x|_8 Z/2, which is Dih(Z/9)."""
+    from mgs.abelian import AbelianGroup
+    from mgs.dihedral import materialize_table
+    from mgs.tables import load_fixture
+
+    f = {name: load_fixture(name) for name in ("A4", "D6", "D8", "Q8")}
+    z = {n: materialize_table(AbelianGroup(0, (n,))) for n in (2, 3, 4)}
+    tables = [
+        direct_product_table(left, right)
+        for left, right in (
+            (f["D8"], z[3]), (f["Q8"], z[2]), (f["Q8"], z[3]), (f["A4"], z[2]),
+            (f["D6"], f["D6"]), (f["D6"], z[4]), (f["D8"], f["D8"]),
+        )
+    ]
+    for n, k, m in (
+        (3, 2, 4), (7, 2, 3), (5, 2, 4), (5, 4, 4), (8, 3, 2), (8, 5, 2), (9, 8, 2),
+        (16, 7, 2), (13, 3, 3),
+    ):
+        tables.append(semidirect_table(n, k, m))
+    return tables
 
 
 def random_abelian_group(rng, max_order=60, max_rank=0):

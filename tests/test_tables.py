@@ -26,29 +26,14 @@ from mgs.tables import (
 )
 
 from helpers import (
+    FIXTURES,
     abelian_groups_up_to,
     automorphisms_by_permutations,
-    direct_product_table,
+    groups_up_to,
+    product_tables,
     recognize_by_definition,
     relabel,
-    semidirect_table,
 )
-
-FIXTURES = (
-    "A4", "D2", "D4", "D6", "D8", "D10", "D12", "D14", "D16", "D18", "D20", "D22", "D24",
-    "DihZ4xZ4", "Q8",
-)
-
-
-def groups_up_to(order):
-    """Tables of the abelian groups and the Dih(A) of at most this order."""
-    out = []
-    for base in abelian_groups_up_to(order):
-        for group in (base, GenDihedralGroup(base)):
-            if group.order() <= order:
-                out.append(materialize_table(group))
-    return out
-
 
 def cyclic_table(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
@@ -393,6 +378,14 @@ def test_automorphisms_match_the_full_check_on_tables_and_relabelings(seed):
             assert automorphism_group(table) == automorphisms_by_full_check(table)
 
 
+def test_automorphisms_match_the_permutation_search_at_orders_7_and_8():
+    # the groups of order 7 and 8: abelian, Dih(Z/4) and Q8
+    rng = random.Random(8)
+    for group in [t for t in groups_up_to(8) if t.order >= 7] + [load_fixture("Q8")]:
+        for table in (group, relabel(group, rng)):
+            assert automorphism_group(table) == automorphisms_by_permutations(table)
+
+
 def test_abelian_invariants_recovery():
     for group in abelian_groups_up_to(24):
         t = materialize_table(group)
@@ -404,6 +397,15 @@ def test_abelian_invariants_refuse_a_dihedral_table():
         t = load_fixture(name)
         with pytest.raises(ValueError, match="^subgroup is not abelian$"):
             abelian_invariant_factors_of(t, range(t.order))
+
+
+def test_abelian_invariants_refuse_every_nonabelian_fixture():
+    # D6, Q8 and A4 have element orders that an abelian group could have
+    for name in FIXTURES:
+        t = load_fixture(name)
+        if not t.is_abelian():
+            with pytest.raises(ValueError, match="^subgroup is not abelian$"):
+                abelian_invariant_factors_of(t, range(t.order))
 
 
 def test_recognize_d12():
@@ -428,19 +430,7 @@ def recognition_tables():
     """The fixtures, every abelian and Dih(A) table up to order 64, direct
     products and semidirect products Z/n x|_k Z/m, then a relabeled copy
     of each."""
-    f = {name: load_fixture(name) for name in FIXTURES}
-    z = {n: materialize_table(AbelianGroup(0, (n,))) for n in (2, 3, 4)}
-    tables = list(f.values()) + groups_up_to(64)
-    for left, right in (
-        (f["D8"], z[3]), (f["Q8"], z[2]), (f["Q8"], z[3]), (f["A4"], z[2]),
-        (f["D6"], f["D6"]), (f["D6"], z[4]), (f["D8"], f["D8"]),
-    ):
-        tables.append(direct_product_table(left, right))
-    for n, k, m in (
-        (3, 2, 4), (7, 2, 3), (5, 2, 4), (5, 4, 4), (8, 3, 2), (8, 5, 2), (9, 8, 2),
-        (16, 7, 2), (13, 3, 3),
-    ):
-        tables.append(semidirect_table(n, k, m))
+    tables = [load_fixture(name) for name in FIXTURES] + groups_up_to(64) + product_tables()
     rng = random.Random(15)
     return tables + [relabel(t, rng) for t in tables]
 
