@@ -419,24 +419,64 @@ def canonical_invariant_factors(orders: Iterable) -> AbelianGroup:
 
     Each entry is a cyclic order: a positive integer, or infinity
     (math.inf or None) for an infinite cyclic factor.  Order-independent
-    and idempotent.
+    and idempotent.  No order is factored: the finite orders are
+    products of powers of a coprime base found with gcds alone.
     """
     free = 0
-    exponents: dict[int, list[int]] = {}
+    finite = []
     for n in orders:
         if n is None or n == INFINITE:
             free += 1
             continue
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"cyclic order {n!r} must be a positive integer or infinity")
-        for p, e in _factorize(n).items():
-            exponents.setdefault(p, []).append(e)
+        finite.append(n)
+    exponents: dict[int, list[int]] = {}
+    for b in _coprime_base(finite):
+        for n in finite:
+            e = 0
+            while n % b == 0:
+                n //= b
+                e += 1
+            if e:
+                exponents.setdefault(b, []).append(e)
     return AbelianGroup(free, _invariant_factors(exponents))
+
+
+def _coprime_base(numbers: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 of which each number is a product of
+    powers, by factor refinement (Bach, Driscoll and Shallit, J.
+    Algorithms 15, 1993).
+
+    Two members x, b with g = gcd(x, b) > 1 are replaced by x/g, g and
+    b/g, which divide the product of the members by g, so the refinement
+    ends.  The primes in one base element b have proportional exponents
+    in every number, so sorting by the exponent of b sorts the exponent
+    of each of its primes alike, and ``_invariant_factors`` can take the
+    base elements in place of primes.
+    """
+    base: list[int] = []
+    todo = list(numbers)
+    while todo:
+        x = todo.pop()
+        if x == 1:
+            continue
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo += (x // g, g, b // g)
+                break
+        else:
+            base.append(x)
+    return base
 
 
 def _invariant_factors(exponents: dict[int, list[int]]) -> tuple[int, ...]:
     """The sorted invariant factors (all > 1) of the product of the cyclic
-    groups Z/p^e, given for each prime p its list of exponents e."""
+    groups Z/p^e, given for each prime p its list of exponents e.  The keys
+    may also be pairwise coprime integers whose primes have proportional
+    exponents in every factor, as from ``_coprime_base``."""
     columns = {p: sorted(exps, reverse=True) for p, exps in exponents.items()}
     slots = max(map(len, columns.values()), default=0)
     factors = [

@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Each command returns its payload, a dict (or, for the closure map, its
-text), and `main` prints it.  Verdicts print as JSON on stdout and exit
-0 even when the verdict is negative; operational failures (bad syntax,
-caps, preconditions) print an error object on stderr and exit nonzero
-(2 for syntax, 1 otherwise).
+Each command returns its payload, a dict (or, for the closure map with
+--dot, its DOT text), and `main` prints it.  Verdicts print as JSON on
+stdout and exit 0 even when the verdict is negative; operational
+failures (bad syntax, caps, preconditions) print an error object on
+stderr and exit nonzero (2 for syntax, 1 otherwise).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from . import classify as classify_mod
 from . import dsl, logic, tables, topology
 from .abelian import AbelianGroup, cyclic_residual_quotient
-from .closure_map import emit_closure_map
+from .closure_map import _closure_map
 from .dihedral import GenDihedralGroup, materialize_table
 from .words import DEFAULT_BALL_CAP, active_ball_cap
 
@@ -177,9 +177,9 @@ def cmd_cb_rank(args) -> dict:
     return {"group": str(group), "family": args.family, "rank": rank}
 
 
-def cmd_closure_map(args) -> str:
-    json_text, dot_text = emit_closure_map(_range(args.range), r_max=args.rmax)
-    return dot_text if args.dot else json_text
+def cmd_closure_map(args) -> dict | str:
+    payload, dot_text = _closure_map(_range(args.range), args.rmax)
+    return dot_text if args.dot else payload
 
 
 def cmd_recognize(args) -> dict:

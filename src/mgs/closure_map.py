@@ -41,6 +41,12 @@ def emit_closure_map(n_range=range(3, 9), r_max: int = 8) -> tuple[str, str]:
     certificates are recomputed separating words (or distinct involution
     patterns) for every node pair.
     """
+    payload, dot_text = _closure_map(n_range, r_max)
+    return json.dumps(payload, indent=2) + "\n", dot_text
+
+
+def _closure_map(n_range, r_max: int) -> tuple[dict, str]:
+    """The map as (JSON payload, DOT text)."""
     n_range = list(n_range)
     if not n_range or min(n_range) < 3:
         raise ValueError("the range must contain integers >= 3")
@@ -111,7 +117,6 @@ def emit_closure_map(n_range=range(3, 9), r_max: int = 8) -> tuple[str, str]:
         "edges": edges,
         "distinctness": certificates,
     }
-    json_text = json.dumps(payload, indent=2) + "\n"
 
     lines = ["digraph dihedral_closure {", "  rankdir=LR;"]
     for v in nodes:
@@ -124,5 +129,4 @@ def emit_closure_map(n_range=range(3, 9), r_max: int = 8) -> tuple[str, str]:
             f'[label="r{mark}{edge["agreement_radius"]}"];'
         )
     lines.append("}")
-    dot_text = "\n".join(lines) + "\n"
-    return json_text, dot_text
+    return payload, "\n".join(lines) + "\n"

@@ -4,9 +4,10 @@ Tables are validated on load: index 0 must be the identity, every row
 and column must be a permutation, inverses must exist and associativity
 is decided by Light's test on a generating set (O(n^2 log n), capped),
 with the exhaustive scan naming the first failing triple.  On top of the
-validated tables sit structural queries, automorphism groups searched on
-the images of generators and checked on generator edges, and a
-recognizer for generalized dihedral structure.
+validated tables sit structural queries, automorphism groups listed as
+the products of a stabilizer chain's transversals, each transversal
+element found by a search on the images of generators checked on
+generator edges, and a recognizer for generalized dihedral structure.
 """
 
 from __future__ import annotations
@@ -297,10 +298,11 @@ def _subgroup_chain(table: FiniteGroupTable, gens: list[int]) -> tuple[list, ite
     H_1 lists the powers of g_1.  H_k lists H_(k-1), then each further
     coset H_(k-1)*t as h*t over h in H_(k-1), in the order a
     breadth-first search along g_1..g_k reaches it; the first is
-    H_(k-1)*g_k.  Stage k, for k = 2..m, holds that search as (j, i)
-    with t = t_j*g_i and t_0 = 1, and for each i <= k a getter of the
-    position of x*g_i over the members x of H_k outside H_(k-1).  Also
-    returned: a getter of each element's position in the whole list.
+    H_(k-1)*g_k.  Stage k, for k = 2..m, holds the members of H_(k-1),
+    that search as (j, i) with t = t_j*g_i and t_0 = 1, and for each
+    i <= k a getter of the position of x*g_i over the members x of H_k
+    outside H_(k-1).  Also returned: a getter of each element's position
+    in the whole list.
     """
     rows = table.rows
     members = [0]
@@ -325,28 +327,32 @@ def _subgroup_chain(table: FiniteGroupTable, gens: list[int]) -> tuple[list, ite
         position = {x: p for p, x in enumerate(members)}
         new = members[len(sub):]
         edges = [itemgetter(*[position[rows[x][g]] for x in new]) for g in gens[:k]]
-        stages.append((tree, edges))
+        stages.append((sub, tree, edges))
     position = [0] * table.order
     for p, x in enumerate(members):
         position[x] = p
     return stages, itemgetter(*position)
 
 
-def _extend(phi, images, s, stages, pools, rows, columns, by_element, found) -> None:
-    """Try each image of g_k, k = s + 2, on phi, the values of an
-    injective homomorphism on H_(k-1) in the order of its members.
+def _extend(phi, images, s, choices, stages, pools, rows, columns):
+    """The first automorphism, as its values on the members in order,
+    that agrees with phi on H_(k-1), k = s + 2, and sends g_k into
+    choices; None when there is none.
 
-    On the coset H_(k-1)*t, phi(h*t) = phi(h)*phi(t), with phi(t) read
-    off the search tree.  The extension is kept when it sends no new
-    member to 1 and respects every edge x -> x*g_i, i <= k, that leaves
-    a new member x.  The other edges of H_k were checked on H_(k-1), or
-    lead from H_(k-1) to H_(k-1)*g_k, where they hold by construction.
+    phi holds the values of an injective homomorphism on H_(k-1) in
+    the order of its members.  On the coset H_(k-1)*t, phi(h*t) =
+    phi(h)*phi(t), with phi(t) read off the search tree.  An extension
+    is kept when it sends no new member to 1 and respects every edge
+    x -> x*g_i, i <= k, that leaves a new member x.  The other edges of
+    H_k were checked on H_(k-1), or lead from H_(k-1) to H_(k-1)*g_k,
+    where they hold by construction.  A kept extension is searched on
+    with every image of g_(k+1) in its pool.
     """
-    tree, edges = stages[s]
+    _, tree, edges = stages[s]
     k = s + 1
     times = itemgetter(*phi)  # columns[c] -> phi(h)*c over H_(k-1)
-    last = s + 1 == len(stages)
-    for img in pools[k]:
+    last = k == len(stages)
+    for img in choices:
         images[k] = img
         at = [0]
         for j, i in tree:
@@ -363,22 +369,32 @@ def _extend(phi, images, s, stages, pools, rows, columns, by_element, found) -> 
                 break
         else:
             if last:
-                found.append(by_element(ext))
-            else:
-                _extend(ext, images, s + 1, stages, pools, rows, columns, by_element, found)
+                return ext
+            found = _extend(ext, images, k, pools[k + 1], stages, pools, rows, columns)
+            if found is not None:
+                return found
+    return None
 
 
-def automorphism_group(table: FiniteGroupTable) -> list[tuple[int, ...]]:
-    """All automorphisms as permutation tuples, sorted.
+def _automorphism_transversals(
+    table: FiniteGroupTable,
+) -> tuple[list[int], list[list[tuple[int, ...]]]]:
+    """A generating sequence g_1..g_m and a transversal T_i for each g_i.
 
-    Candidate images for a generating sequence g_1..g_m are filtered by
-    element order and chosen one generator at a time.  The image of g_1
-    fixes phi on H_1 = <g_1>; once g_k has an image, phi is extended
-    to H_k = <g_1..g_k> coset by coset and kept only while it is
-    injective and respects every edge phi(x*g_i) == phi(x)*phi(g_i)
-    with x in H_k and i <= k.  An automorphism passes every stage, so a
-    failed stage prunes every later choice of images; the last stage,
-    on H_m = G, checks that the candidate is a bijective homomorphism.
+    Candidate images of each g_i are the elements of its order.  T_i
+    holds one automorphism for each image y of g_i under the
+    automorphisms fixing g_1..g_(i-1): the identity for y = g_i, and
+    otherwise the first automorphism that fixes g_1..g_(i-1) and sends
+    g_i to y, searched one generator at a time.  The image of g_1 fixes
+    phi on H_1 = <g_1>; once g_k has an image, phi is extended to H_k =
+    <g_1..g_k> coset by coset and kept only while it is injective and
+    respects every edge phi(x*g_i) == phi(x)*phi(g_i) with x in H_k and
+    i <= k.  An automorphism passes every stage, so a failed stage
+    prunes every later choice of images; the last stage, on H_m = G,
+    checks that the candidate is a bijective homomorphism.  A search
+    for y stops at its first automorphism, and one that fails explores
+    no more than the search of every automorphism does below the same
+    images of g_1..g_i.
     """
     n = table.order
     gens = _greedy_generating_sequence(table)
@@ -395,24 +411,48 @@ def automorphism_group(table: FiniteGroupTable) -> list[tuple[int, ...]]:
             f"the automorphism search budget {AUTOMORPHISM_BUDGET}"
         )
     if not gens:
-        return [(0,)]
+        return gens, []
     stages, by_element = _subgroup_chain(table, gens)
-    columns = list(zip(*rows))
-    images = [0] * len(gens)
-    found: list[tuple[int, ...]] = []
-    for img in pools[0]:
-        # g_1 and img have one order, so g_1^j -> img^j is injective on H_1
-        images[0] = img
-        powers = [0]
-        x = img
-        while x:
-            powers.append(x)
-            x = rows[x][img]
-        if stages:
-            _extend(tuple(powers), images, 0, stages, pools, rows, columns, by_element, found)
-        else:
-            found.append(by_element(powers))
-    return sorted(found)
+    search = (stages, pools, rows, list(zip(*rows)))
+    identity = tuple(range(n))
+    transversals = []
+    for i, g in enumerate(gens):
+        images = list(gens)
+        level = []
+        for y in pools[i]:
+            if y == g:
+                level.append(identity)
+                continue
+            if i:
+                found = _extend(stages[i - 1][0], images, i - 1, (y,), *search)
+            else:
+                # g_1 and y have one order, so g_1^j -> y^j is injective on H_1
+                images[0] = y
+                found = [0]
+                x = y
+                while x:
+                    found.append(x)
+                    x = rows[x][y]
+                if stages:
+                    found = _extend(tuple(found), images, 0, pools[1], *search)
+            if found is not None:
+                level.append(by_element(found))
+        transversals.append(level)
+    return gens, transversals
+
+
+def automorphism_group(table: FiniteGroupTable) -> list[tuple[int, ...]]:
+    """All automorphisms as permutation tuples, sorted.
+
+    Every automorphism is t_1∘…∘t_m with t_i in the transversal T_i of
+    ``_automorphism_transversals``, in exactly one way (Sims' stabilizer
+    chain), so the group is listed as those products.
+    """
+    autos = [tuple(range(table.order))]
+    for level in _automorphism_transversals(table)[1]:
+        getters = [itemgetter(*t) for t in level]
+        autos = [get(a) for a in autos for get in getters]  # get(a) = a∘t
+    return sorted(autos)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,21 @@ paths: closures by breadth-first multiplication, isomorphism by
 permutation search, automorphisms by trying every tuple of generator
 images, marking orbits by scanning every tuple, group enumeration by
 partitions, ball comparison by visiting every profile in norm order,
-determinants by Bareiss elimination, generation by the Smith diagonal
-and generalized dihedral structure by its definition.
+determinants by Bareiss elimination, invariant factors by factoring,
+generation by the Smith diagonal and generalized dihedral structure by
+its definition.
 """
 
 import math
 from itertools import permutations, product
 from operator import itemgetter
 
-from mgs.abelian import canonical_invariant_factors, smith_normal_form
+from mgs.abelian import (
+    _factorize,
+    _invariant_factors,
+    canonical_invariant_factors,
+    smith_normal_form,
+)
 from mgs.topology import _flat_relation, _profile_word
 
 
@@ -255,6 +261,16 @@ def product_tables():
     ):
         tables.append(semidirect_table(n, k, m))
     return tables
+
+
+def invariant_factors_by_factoring(orders):
+    """The invariant factors of the product of Z/n over the finite orders,
+    from the prime factorization of each order."""
+    exponents = {}
+    for n in orders:
+        for p, e in _factorize(n).items():
+            exponents.setdefault(p, []).append(e)
+    return _invariant_factors(exponents)
 
 
 def random_abelian_group(rng, max_order=60, max_rank=0):

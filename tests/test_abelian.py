@@ -29,6 +29,7 @@ from mgs.dihedral import materialize_table
 from helpers import (
     abelian_closure,
     determinant,
+    invariant_factors_by_factoring,
     random_element,
     random_unimodular,
     smith_generates,
@@ -131,6 +132,27 @@ def test_canonical_invariant_factors_examples():
     b = canonical_invariant_factors([2, 4])
     assert b == AbelianGroup(0, (2, 4))
     assert max(x.order() for x in b.elements()) == 4
+
+
+# products of powers of 2, 3, 5 and 7 share primes, which the coprime
+# base has to split; the other orders are mostly coprime
+SMOOTH = st.tuples(*[st.integers(0, 6)] * 4).map(
+    lambda e: 2 ** e[0] * 3 ** e[1] * 5 ** e[2] * 7 ** e[3]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(SMOOTH, st.integers(1, 10**5)), max_size=6))
+def test_invariant_factors_match_the_factoring_oracle(orders):
+    group = canonical_invariant_factors(orders)
+    assert group == AbelianGroup(0, invariant_factors_by_factoring(orders))
+
+
+def test_invariant_factors_of_large_prime_orders_need_no_factoring():
+    # trial division would try about 10^7 divisors for p and 10^8 for q
+    p, q = 100000000000031, 10000000000000061
+    assert canonical_invariant_factors([p, 4 * p, 6]) == AbelianGroup(0, (2 * p, 12 * p))
+    assert canonical_invariant_factors([q, 6, None]) == AbelianGroup(1, (6 * q,))
 
 
 def materialize_table_of_product(orders):

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import re
 import time
@@ -21,7 +22,13 @@ from mgs.classify import (
 )
 from mgs import classify
 from mgs.dihedral import GenDihedralGroup, is_generating_dih, materialize_table
-from mgs.tables import FiniteGroupTable, automorphism_group, load_fixture
+from mgs.tables import (
+    AUTOMORPHISM_BUDGET,
+    FiniteGroupTable,
+    _automorphism_transversals,
+    automorphism_group,
+    load_fixture,
+)
 from mgs.topology import MarkedGroup, agreement_radius
 
 from helpers import (
@@ -160,6 +167,23 @@ def test_the_subgroup_chain_searches_match_the_product_oracles_on_product_tables
             assert automorphism_group(table) == autos
             for arity in (1, 2, 3) if table.order <= 24 else (1, 2):
                 assert classes_of(table, arity) == markings_by_scan(table, arity, autos)
+
+
+def test_the_automorphisms_are_the_products_of_the_transversals():
+    # T_i fixes g_1..g_(i-1) and sends g_i to distinct images, and every
+    # automorphism is one product t_1*...*t_m
+    rng = random.Random(3)
+    groups = [load_fixture(name) for name in FIXTURES] + groups_up_to(32) + product_tables()
+    for group in [t for t in groups if product_search_work(t) <= AUTOMORPHISM_BUDGET]:
+        for table in (group, relabel(group, rng)):
+            gens, levels = _automorphism_transversals(table)
+            autos = set(automorphism_group(table))
+            assert math.prod(map(len, levels)) == len(autos)
+            for i, (g, level) in enumerate(zip(gens, levels)):
+                assert len({t[g] for t in level}) == len(level)
+                for t in level:
+                    assert t in autos
+                    assert [t[h] for h in gens[:i]] == gens[:i]
 
 
 def test_the_searches_leave_no_garbage_for_the_cycle_collector():

@@ -415,6 +415,20 @@ def test_cli_bytes_are_pinned(capsys):
     assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "22de863e514cb230"
 
 
+@pytest.mark.parametrize(
+    "group, digest",
+    [
+        ("Z/4 x Z/4 x Z/8", "e200bc02192bb979ff980bc574b0d712085bc42f5bec1db7eca2250dec3db6cc"),
+        ("Dih(Z/8 x Z/8)", "61818df3d4c1c1672c687c6010bd80d97102285d79944b332ca8b39b5810627a"),
+    ],
+)
+def test_classify_of_the_largest_tables_is_pinned(capsys, group, digest):
+    # 7 classes each, of orbit 98,304: every automorphism is listed
+    code, out, err = run(capsys, "classify", group, "--arity", "3")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def run_module(*argv):
     """(exit code, stdout, stderr) of `python -m mgs.cli` in a fresh process."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
