@@ -221,24 +221,13 @@ def smith_normal_form(
 # Groups and elements
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def primes_avoiding(n: int, k: int) -> tuple[int, ...]:
     """The k least primes that do not divide n, a positive integer."""
     if n < 1:
         raise ValueError("every prime divides 0")
-    return tuple(islice((p for p in count(2) if n % p and _factorize(p) == {p: 1}), k))
+    avoiding = (p for p in count(2) if n % p)
+    primes = (p for p in avoiding if all(p % d for d in range(2, math.isqrt(p) + 1)))
+    return tuple(islice(primes, k))
 
 
 @dataclass(frozen=True)
@@ -419,8 +408,13 @@ def canonical_invariant_factors(orders: Iterable) -> AbelianGroup:
 
     Each entry is a cyclic order: a positive integer, or infinity
     (math.inf or None) for an infinite cyclic factor.  Order-independent
-    and idempotent.  No order is factored: the finite orders are
-    products of powers of a coprime base found with gcds alone.
+    and idempotent.  No order is factored: Z/a x Z/b is Z/gcd(a, b) x
+    Z/lcm(a, b), and the sorted finite orders a_1..a_k go through that
+    exchange for each pair i < j in which a_i does not divide a_j.  After
+    pass i, a_i is the gcd of a_i..a_k and divides every later entry,
+    which changes afterwards only to lcms or to gcds of multiples of a_i,
+    so a_1 | a_2 | ... at the end.  The passes take time quadratic in the
+    number of finite factors.
     """
     free = 0
     finite = []
@@ -428,62 +422,18 @@ def canonical_invariant_factors(orders: Iterable) -> AbelianGroup:
         if n is None or n == INFINITE:
             free += 1
             continue
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"cyclic order {n!r} must be a positive integer or infinity")
         finite.append(n)
-    exponents: dict[int, list[int]] = {}
-    for b in _coprime_base(finite):
-        for n in finite:
-            e = 0
-            while n % b == 0:
-                n //= b
-                e += 1
-            if e:
-                exponents.setdefault(b, []).append(e)
-    return AbelianGroup(free, _invariant_factors(exponents))
-
-
-def _coprime_base(numbers: Iterable[int]) -> list[int]:
-    """Pairwise coprime integers > 1 of which each number is a product of
-    powers, by factor refinement (Bach, Driscoll and Shallit, J.
-    Algorithms 15, 1993).
-
-    Two members x, b with g = gcd(x, b) > 1 are replaced by x/g, g and
-    b/g, which divide the product of the members by g, so the refinement
-    ends.  The primes in one base element b have proportional exponents
-    in every number, so sorting by the exponent of b sorts the exponent
-    of each of its primes alike, and ``_invariant_factors`` can take the
-    base elements in place of primes.
-    """
-    base: list[int] = []
-    todo = list(numbers)
-    while todo:
-        x = todo.pop()
-        if x == 1:
-            continue
-        for i, b in enumerate(base):
-            g = math.gcd(x, b)
-            if g > 1:
-                del base[i]
-                todo += (x // g, g, b // g)
-                break
-        else:
-            base.append(x)
-    return base
-
-
-def _invariant_factors(exponents: dict[int, list[int]]) -> tuple[int, ...]:
-    """The sorted invariant factors (all > 1) of the product of the cyclic
-    groups Z/p^e, given for each prime p its list of exponents e.  The keys
-    may also be pairwise coprime integers whose primes have proportional
-    exponents in every factor, as from ``_coprime_base``."""
-    columns = {p: sorted(exps, reverse=True) for p, exps in exponents.items()}
-    slots = max(map(len, columns.values()), default=0)
-    factors = [
-        math.prod(p ** exps[s] for p, exps in columns.items() if s < len(exps))
-        for s in range(slots)
-    ]
-    return tuple(sorted(d for d in factors if d > 1))
+    finite.sort()
+    for i, a in enumerate(finite):
+        for j in range(i + 1, len(finite)):
+            b = finite[j]
+            if b % a:
+                g = math.gcd(a, b)
+                a, finite[j] = g, a // g * b
+        finite[i] = a
+    return AbelianGroup(free, tuple(d for d in finite if d > 1))
 
 
 # ---------------------------------------------------------------------------

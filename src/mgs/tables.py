@@ -20,7 +20,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .abelian import AbelianGroup, _factorize, _invariant_factors
+from .abelian import AbelianGroup
 
 ASSOCIATIVITY_BOUND = 256
 AUTOMORPHISM_BUDGET = 10**8  # candidate images times the order
@@ -456,42 +456,39 @@ def automorphism_group(table: FiniteGroupTable) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Abelian invariants of a subgroup, by counting solutions of x^(p^j) = 1
+# Abelian invariants of a subgroup, by orders modulo a growing span
 
 
 def abelian_invariant_factors_of(
     table: FiniteGroupTable, members: Iterable[int]
 ) -> tuple[int, ...]:
-    order_of = {x: table.element_order(x) for x in members}
-    # generators commuting pairwise span an abelian group; at most log2
-    # of its order are picked, as each one outside the span at least
-    # doubles it
+    """The invariant factors of the abelian subgroup with these members.
+
+    In a finite abelian group an element of largest order spans a direct
+    summand, so each round picks a member of largest order modulo the
+    span of the earlier picks and records that order; the orders,
+    largest first, are the invariant factors.  The picks span the
+    subgroup, so it is abelian exactly when they commute pairwise.
+    """
     rows = table.rows
-    gens: list[int] = []
-    span = frozenset([0])
-    for x in order_of:
-        if x not in span:
-            if any(rows[x][g] != rows[g][x] for g in gens):
-                raise ValueError("subgroup is not abelian")
-            gens.append(x)
-            span = table.closure(gens)
-    orders = list(order_of.values())
-    exponent = math.lcm(*orders)
-    if exponent == 1:
-        return ()
-    partitions: dict[int, list[int]] = {}
-    for p, e in _factorize(exponent).items():
-        logs = [0]  # by j, log_p of how many x^(p^j) = 1: those whose order divides p^j
-        for j in range(1, e + 1):
-            c, s = sum(1 for o in orders if p**j % o == 0), 0
-            while c > 1 and c % p == 0:
-                c, s = c // p, s + 1
-            if c != 1:
-                raise ValueError("subgroup is not abelian")
-            logs.append(s)
-        conj = [b - a for a, b in zip(logs, logs[1:])]
-        partitions[p] = [sum(c >= i for c in conj) for i in range(1, max(conj) + 1)]
-    return _invariant_factors(partitions)
+    picks: list[int] = []
+    orders: list[int] = []
+    span, rest = {0}, [x for x in members if x]
+    while rest:
+        best, best_order = 0, 1
+        for x in rest:
+            k, y = 1, x
+            while y not in span:
+                k, y = k + 1, rows[y][x]
+            if k > best_order:
+                best, best_order = x, k
+        if any(rows[best][g] != rows[g][best] for g in picks):
+            raise ValueError("subgroup is not abelian")
+        picks.append(best)
+        orders.append(best_order)
+        span = table.closure(picks)
+        rest = [x for x in rest if x not in span]
+    return tuple(reversed(orders))
 
 
 # ---------------------------------------------------------------------------

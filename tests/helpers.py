@@ -14,12 +14,7 @@ import math
 from itertools import permutations, product
 from operator import itemgetter
 
-from mgs.abelian import (
-    _factorize,
-    _invariant_factors,
-    canonical_invariant_factors,
-    smith_normal_form,
-)
+from mgs.abelian import AbelianGroup, canonical_invariant_factors, smith_normal_form
 from mgs.topology import _flat_relation, _profile_word
 
 
@@ -206,23 +201,14 @@ def abelian_groups_up_to(max_order):
     """Every finite abelian group of order <= max_order, canonical form."""
     out = []
     for n in range(1, max_order + 1):
-        factor_exponents = {}
-        m = n
-        d = 2
-        while d * d <= m:
-            while m % d == 0:
-                factor_exponents[d] = factor_exponents.get(d, 0) + 1
-                m //= d
-            d += 1
-        if m > 1:
-            factor_exponents[m] = factor_exponents.get(m, 0) + 1
+        factor_exponents = prime_factorization(n)
         primes = sorted(factor_exponents)
         per_prime = [list(_partitions(factor_exponents[p])) for p in primes]
         for combo in product(*per_prime):
             orders = []
             for p, parts in zip(primes, combo):
                 orders.extend(p**e for e in parts)
-            out.append(canonical_invariant_factors(orders))
+            out.append(AbelianGroup(0, invariant_factors_by_factoring(orders)))
     return out
 
 
@@ -263,14 +249,37 @@ def product_tables():
     return tables
 
 
+def prime_factorization(n):
+    """{p: e} with n the product of p**e, by trial division."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def invariant_factors_by_factoring(orders):
     """The invariant factors of the product of Z/n over the finite orders,
-    from the prime factorization of each order."""
+    from the prime factorization of each order: the s-th largest factor
+    is the product over the primes p of p to its s-th largest exponent."""
     exponents = {}
     for n in orders:
-        for p, e in _factorize(n).items():
+        for p, e in prime_factorization(n).items():
             exponents.setdefault(p, []).append(e)
-    return _invariant_factors(exponents)
+    columns = [sorted(exps, reverse=True) for exps in exponents.values()]
+    factors = []
+    for s in range(max(map(len, columns), default=0)):
+        d = 1
+        for p, exps in zip(exponents, columns):
+            if s < len(exps):
+                d *= p ** exps[s]
+        factors.append(d)
+    return tuple(reversed(factors))
 
 
 def random_abelian_group(rng, max_order=60, max_rank=0):

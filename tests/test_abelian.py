@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -30,6 +31,7 @@ from helpers import (
     abelian_closure,
     determinant,
     invariant_factors_by_factoring,
+    prime_factorization,
     random_element,
     random_unimodular,
     smith_generates,
@@ -134,18 +136,41 @@ def test_canonical_invariant_factors_examples():
     assert max(x.order() for x in b.elements()) == 4
 
 
-# products of powers of 2, 3, 5 and 7 share primes, which the coprime
-# base has to split; the other orders are mostly coprime
+# products of powers of 2, 3, 5 and 7 share primes; the few small smooth
+# orders repeat often in a long list; the other orders are mostly coprime
 SMOOTH = st.tuples(*[st.integers(0, 6)] * 4).map(
     lambda e: 2 ** e[0] * 3 ** e[1] * 5 ** e[2] * 7 ** e[3]
+)
+SMALL_SMOOTH = st.tuples(*[st.integers(0, 2)] * 3).map(
+    lambda e: 2 ** e[0] * 3 ** e[1] * 5 ** e[2]
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(SMOOTH, st.integers(1, 10**5)), max_size=6))
-def test_invariant_factors_match_the_factoring_oracle(orders):
+@given(
+    st.lists(st.one_of(SMALL_SMOOTH, SMOOTH, st.integers(1, 10**5)), max_size=40),
+    st.randoms(use_true_random=False),
+)
+@example([6, 4, 6, 9, 4, 10], random.Random(0))
+def test_invariant_factors_match_the_factoring_oracle(orders, rng):
     group = canonical_invariant_factors(orders)
     assert group == AbelianGroup(0, invariant_factors_by_factoring(orders))
+    shuffled = list(orders)
+    rng.shuffle(shuffled)
+    assert canonical_invariant_factors(shuffled) == group
+
+
+def test_invariant_factors_of_many_factors():
+    assert canonical_invariant_factors([6] * 2000) == AbelianGroup(0, (6,) * 2000)
+    primes = [p for p in range(2, 2000) if prime_factorization(p) == {p: 1}][:300]
+    assert canonical_invariant_factors(primes) == AbelianGroup(0, (math.prod(primes),))
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_booleans_are_not_cyclic_orders(flag):
+    message = f"^cyclic order {flag} must be a positive integer or infinity$"
+    with pytest.raises(ValueError, match=message):
+        canonical_invariant_factors([flag, 4])
 
 
 def test_invariant_factors_of_large_prime_orders_need_no_factoring():

@@ -387,9 +387,12 @@ def test_automorphisms_match_the_permutation_search_at_orders_7_and_8():
 
 
 def test_abelian_invariants_recovery():
-    for group in abelian_groups_up_to(24):
+    rng = random.Random(23)
+    for group in abelian_groups_up_to(64):
         t = materialize_table(group)
-        assert abelian_invariant_factors_of(t, range(t.order)) == group.invariant_factors
+        for table in (t, relabel(t, rng)):
+            factors = abelian_invariant_factors_of(table, range(t.order))
+            assert factors == group.invariant_factors
 
 
 def test_abelian_invariants_refuse_a_dihedral_table():
@@ -459,12 +462,15 @@ def test_recognition_matches_the_definition():
 
 
 def test_recognize_all_small_bases():
-    for base in abelian_groups_up_to(16):
+    # every Dih(A) up to order 64, as built and relabeled
+    rng = random.Random(16)
+    for base in abelian_groups_up_to(32):
         g = GenDihedralGroup(base)
         t = materialize_table(g)
-        out = recognize_generalized_dihedral(t)
-        if g.is_abelian():
-            assert out.kind == "abelian"
-        else:
-            assert out.kind == "generalized-dihedral"
-            assert out.base == base
+        for table in (t, relabel(t, rng)):
+            out = recognize_generalized_dihedral(table)
+            if g.is_abelian():
+                assert out.kind == "abelian"
+            else:
+                assert out.kind == "generalized-dihedral"
+                assert out.base == base
